@@ -98,6 +98,22 @@ class QuantificationReport:
     carried_pairs: int = 0
     _best_scores: Dict[str, int] = field(default_factory=dict)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Every checkpoint re-pickles the report, so its probe log goes
+        # out as plain rows: a dataclass reduce per record would repeat
+        # the class reference and a field-name dict thousands of times.
+        state = dict(self.__dict__)
+        state["probes"] = [
+            (record.assignment, record.branches, record.failed, record.sites)
+            for record in self.probes
+        ]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        state["probes"] = [ProbeRecord(*row) for row in state["probes"]]
+        self.__dict__.update(state)
+
     def note_probe(self, record: ProbeRecord) -> None:
         """Log a probe and fold its values into ``best_values``."""
         self.probes.append(record)
@@ -189,10 +205,27 @@ class RelationQuantifier:
         self.telemetry = telemetry or NULL_TELEMETRY
         self._baseline: Optional[frozenset] = None
         self._single_cache: Dict[Tuple[str, Any], frozenset] = {}
+        #: Canonical objects for every site name and site set seen, so
+        #: equal sets across probes are one shared object in the report.
+        self._shared: Dict[Any, Any] = {}
         #: Workload accounting for the most recent quantify/requantify
         #: call: logical probes, physical executions, cache hits, probes
         #: skipped by dedupe, and pairs carried without re-probing.
         self.last_run_stats: Dict[str, int] = {}
+
+    def _share_sites(self, sites: frozenset) -> frozenset:
+        """The canonical object equal to ``sites`` (built on first sight).
+
+        Each probe builds a fresh target, so its site names are fresh
+        strings; pooled and cached outcomes arrive freshly unpickled.
+        Without this, the report holds one copy of every name per probe.
+        """
+        shared = self._shared.get(sites)
+        if shared is None:
+            shared = frozenset(self._shared.setdefault(site, site)
+                               for site in sites)
+            self._shared[shared] = shared
+        return shared
 
     # -- serial probing ----------------------------------------------------
 
@@ -206,6 +239,7 @@ class RelationQuantifier:
             sites = coverage.sites()
         else:
             sites = frozenset(coverage)
+        sites = self._share_sites(sites)
         return ProbeRecord(dict(assignment), len(sites), sites=sites)
 
     def _baseline_sites(self, report: Optional[QuantificationReport]) -> frozenset:
@@ -340,7 +374,8 @@ class RelationQuantifier:
                        report: QuantificationReport) -> ProbeRecord:
         """Note one logical probe from an executed outcome, firing faults."""
         record = ProbeRecord(dict(assignment), outcome.branches,
-                             failed=outcome.failed, sites=outcome.sites)
+                             failed=outcome.failed,
+                             sites=self._share_sites(outcome.sites))
         report.note_probe(record)
         if self.on_fault is not None:
             for entry in outcome.faults:

@@ -68,7 +68,9 @@ __all__ = [
 #: Bumped whenever the checkpoint blob or manifest layout changes; old
 #: artifacts are rejected with :class:`SchemaVersionError`, not guessed at.
 #: 2: the pickled campaign context gained the fault-plane injector.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: 3: the quantification report pickles its probe log as plain
+#: ``(assignment, branches, failed, sites)`` rows with shared site sets.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _MANIFEST_NAME = "MANIFEST.json"
 _BLOB_PATTERN = re.compile(r"^ckpt-(\d+)\.pkl$")

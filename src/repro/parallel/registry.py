@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
@@ -54,6 +55,8 @@ class ModeEntry:
 
 _REGISTRY: Dict[str, ModeEntry] = {}
 _discovered = False
+_discovering = False
+_discover_lock = threading.RLock()
 
 
 def register_mode(name: str, factory: Callable,
@@ -91,11 +94,30 @@ def unregister_mode(name: str) -> None:
 
 
 def _discover() -> None:
-    """Import out-of-tree mode modules once (env var + entry points)."""
-    global _discovered
+    """Import out-of-tree mode modules once (env var + entry points).
+
+    Thread-safe: concurrent catalogue queries (fleet agent threads all
+    hitting ``get_mode`` at once) serialize on a lock, and
+    ``_discovered`` is only published after the scan completes, so no
+    thread can observe a half-populated registry. A mode module that
+    calls back into the registry during its own import re-enters on the
+    same thread and returns immediately (``_discovering``).
+    """
+    global _discovered, _discovering
     if _discovered:
         return
-    _discovered = True
+    with _discover_lock:
+        if _discovered or _discovering:
+            return
+        _discovering = True
+        try:
+            _discover_locked()
+        finally:
+            _discovering = False
+            _discovered = True
+
+
+def _discover_locked() -> None:
     for module_name in os.environ.get(DISCOVERY_ENV, "").split(","):
         module_name = module_name.strip()
         if module_name:

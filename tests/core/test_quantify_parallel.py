@@ -9,7 +9,9 @@ edited model while only re-probing pairs that contain a changed entity.
 
 import hashlib
 import itertools
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from repro.api import extract_model
 from repro.core.entity import ConfigEntity, Flag, ValueType
 from repro.core.model import ConfigurationModel
 from repro.core.probes import build_probe_executor
-from repro.core.relation import RelationQuantifier
+from repro.core.relation import ProbeRecord, RelationQuantifier
 from repro.targets import get_target
 from repro.targets.base import startup_probe_for
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -92,6 +94,66 @@ class TestGoldenParity:
             "modelbuild.probes_run") == 0
         assert warm_telemetry.registry.counter_total(
             "modelbuild.probes_cached") == run
+
+
+# ---------------------------------------------------------------------------
+# The report's pickled form (checkpoints re-pickle it on every save)
+# ---------------------------------------------------------------------------
+
+_REPORT_FIELDS = ("probes", "raw_weights", "best_values",
+                  "entity_fingerprints", "carried_pairs")
+
+
+def _dnsmasq_report(path, tmp_path):
+    model = extract_model("dnsmasq")
+    if path == "serial":
+        probe = startup_probe_for(get_target("dnsmasq").target_cls,
+                                  on_fault=[].append)
+        quantifier = RelationQuantifier(probe, max_combinations=MAX_COMBINATIONS)
+    elif path == "workers=2":
+        quantifier = RelationQuantifier(
+            executor=build_probe_executor("dnsmasq", workers=2),
+            max_combinations=MAX_COMBINATIONS)
+    else:
+        cache_dir = str(tmp_path)
+        RelationQuantifier(
+            executor=build_probe_executor("dnsmasq", cache=True,
+                                          cache_dir=cache_dir),
+            max_combinations=MAX_COMBINATIONS).quantify(model)
+        executor = build_probe_executor("dnsmasq", cache=True,
+                                        cache_dir=cache_dir)
+        quantifier = RelationQuantifier(executor=executor,
+                                        max_combinations=MAX_COMBINATIONS)
+    _, report = quantifier.quantify(model)
+    if path == "warm-cache":
+        assert executor.stats["executed"] == 0
+    return report
+
+
+def _assert_sites_shared(report):
+    """Equal site names and equal site sets are one object each."""
+    site_sets = [record.sites for record in report.probes]
+    names = [site for sites in site_sets for site in sites]
+    assert len({id(sites) for sites in site_sets}) == len(set(site_sets))
+    assert len({id(name) for name in names}) == len(set(names))
+
+
+class TestReportPickling:
+    @pytest.mark.parametrize("path", ["serial", "workers=2", "warm-cache"])
+    def test_round_trip_keeps_every_field_and_the_sharing(self, path,
+                                                          tmp_path):
+        report = _dnsmasq_report(path, tmp_path)
+        assert report.launches > 0
+        _assert_sites_shared(report)
+
+        restored = pickle.loads(pickle.dumps(report))
+        for name in _REPORT_FIELDS:
+            assert getattr(restored, name) == getattr(report, name), name
+        assert all(isinstance(record, ProbeRecord)
+                   for record in restored.probes)
+        assert restored.launches == report.launches
+        assert restored.failures == report.failures
+        _assert_sites_shared(restored)
 
 
 # ---------------------------------------------------------------------------

@@ -115,18 +115,20 @@ class TestCorruptionFallback:
 
 
 class TestSchemaVersioning:
-    def test_old_manifest_version_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("old_version", [0, CHECKPOINT_SCHEMA_VERSION - 1],
+                             ids=["zero", "previous"])
+    def test_old_manifest_version_is_rejected(self, tmp_path, old_version):
         store = _store(tmp_path)
         store.save({"round": 1}, sim_time=0.0, iterations=0)
         path = os.path.join(store.directory, "MANIFEST.json")
         with open(path) as handle:
             manifest = json.load(handle)
-        manifest["schema_version"] = 0
+        manifest["schema_version"] = old_version
         with open(path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(SchemaVersionError) as excinfo:
             store.load_latest()
-        assert excinfo.value.found == 0
+        assert excinfo.value.found == old_version
         assert excinfo.value.supported == CHECKPOINT_SCHEMA_VERSION
 
     def test_old_blob_version_is_rejected_on_scan(self, tmp_path):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CampaignInterrupted, SchemaVersionError
+from repro.harness import campaign as campaign_module
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import (
     EXPORT_SCHEMA_VERSION,
@@ -96,6 +97,40 @@ class TestResumeEqualsUninterrupted:
                      abort_at=abort_at)
         resumed = _run("cmfuzz", dataclasses.replace(config, resume=True))
         assert results_to_json([resumed]) == reference
+
+    def test_resume_restores_the_quantification_report(self, tmp_path,
+                                                       monkeypatch):
+        """The model-build report survives a checkpoint round trip whole:
+        the resumed campaign's mode ends with the uninterrupted run's
+        report, and the exports are byte-identical."""
+        config = _config(str(tmp_path / "ck"), seed=5)
+        reference_mode = MODES["cmfuzz"]()
+        reference = results_to_json([run_campaign(
+            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+            reference_mode, config)])
+
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                get_target("dnsmasq").target_cls,
+                pit_registry()["dnsmasq"](), MODES["cmfuzz"](), config,
+                # Past the first periodic checkpoint at 300 sim-seconds.
+                abort_hook=lambda iterations, now: now > 450.0)
+
+        driven = []
+        drive = campaign_module._drive
+
+        def capture(state, *args, **kwargs):
+            driven.append(state)
+            return drive(state, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_drive", capture)
+        resumed = _run("cmfuzz", dataclasses.replace(config, resume=True))
+        assert results_to_json([resumed]) == reference
+        assert driven[0].iterations > 0, "the resume must restore state"
+        restored = driven[0].mode.quantification_report
+        assert restored is not reference_mode.quantification_report
+        assert restored == reference_mode.quantification_report
+        assert restored.launches > 0
 
     def test_resume_without_checkpoint_starts_fresh(self, tmp_path):
         config = dataclasses.replace(

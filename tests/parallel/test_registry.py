@@ -14,6 +14,8 @@ import pickle
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -170,6 +172,53 @@ class TestDiscovery:
             finally:
                 unregister_mode("plugin-discovered")
                 sys.modules.pop("_cmfuzz_plugin_mode", None)
+
+    def test_concurrent_lookups_wait_for_a_slow_discovery(self, monkeypatch,
+                                                           tmp_path):
+        """A lookup racing another thread's discovery must not miss the
+        modes that discovery is still importing."""
+        (tmp_path / "_cmfuzz_slow_mode.py").write_text(textwrap.dedent("""
+            import time
+
+            from repro.parallel.registry import register_mode
+
+            def slow_factory(**kwargs):
+                '''An out-of-tree scheduler whose module imports slowly.'''
+                return object()
+
+            time.sleep(0.5)
+            register_mode("slow-discovered", slow_factory)
+        """), encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv(registry_module.DISCOVERY_ENV, "_cmfuzz_slow_mode")
+        monkeypatch.setattr(registry_module, "_discovered", False)
+        outcomes = []
+
+        def lookup():
+            try:
+                outcomes.append(registry_module.get_mode("slow-discovered").name)
+            except KeyError as error:
+                outcomes.append(error)
+
+        first = threading.Thread(target=lookup)
+        first.start()
+        racers = [threading.Thread(target=lookup) for _ in range(4)]
+        try:
+            # Race more lookups against the first thread once it is
+            # inside the slow import.
+            deadline = time.monotonic() + 5.0
+            while "_cmfuzz_slow_mode" not in sys.modules:
+                assert time.monotonic() < deadline, "discovery never started"
+                time.sleep(0.001)
+            for racer in racers:
+                racer.start()
+        finally:
+            for thread in [first] + racers:
+                if thread.is_alive():
+                    thread.join(timeout=10.0)
+            unregister_mode("slow-discovered")
+            sys.modules.pop("_cmfuzz_slow_mode", None)
+        assert outcomes == ["slow-discovered"] * 5
 
 
 def _campaign_mode_choices(parser):
