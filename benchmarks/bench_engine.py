@@ -12,8 +12,11 @@ records the results in ``BENCH_engine.json``:
    must clear ``CMFUZZ_BENCH_ENGINE_MIN_SPEEDUP`` (default 3.0×).
 2. ``engine_e2e`` — the honest end-to-end figure: the same loop against
    the real in-process dnsmasq target (its packet parsing is untouched
-   by this PR and dilutes the ratio); reported, never gated.
-3. ``engine_multi`` — ``CMFUZZ_BENCH_ENGINE_INSTANCES`` featherweight
+   by the fast path and dilutes the ratio); reported, never gated.
+3. ``engine_e2e_sized`` — the same end-to-end leg on mosquitto, whose
+   pit nests size-of relations (dnsmasq's has none), so it exercises
+   the compiled size encoders; reported, never gated.
+4. ``engine_multi`` — ``CMFUZZ_BENCH_ENGINE_INSTANCES`` featherweight
    engines round-robined in one process, approximating a parallel
    campaign cell's per-process throughput.
 
@@ -41,6 +44,8 @@ from repro.fuzzing.engine import DirectTransport, FuzzEngine
 from repro.targets import get_target, target_names
 
 TARGET = "dnsmasq"
+#: The end-to-end subject whose pit carries (nested) size relations.
+SIZED_TARGET = "mosquitto"
 ITERATIONS = int(os.environ.get("CMFUZZ_BENCH_ENGINE_ITERS", "3000"))
 E2E_ITERATIONS = int(os.environ.get("CMFUZZ_BENCH_ENGINE_E2E_ITERS", "1500"))
 REPEATS = int(os.environ.get("CMFUZZ_BENCH_ENGINE_REPEATS", "5"))
@@ -87,13 +92,17 @@ def _feather_engine(seed):
     return FuzzEngine(model, FeatherTransport(cov), cov, seed=seed), cov
 
 
-def _e2e_engine(seed):
-    entry = get_target(TARGET)
-    cov = make_collector(TARGET)
+def _e2e_engine(seed, name=TARGET):
+    entry = get_target(name)
+    cov = make_collector(name)
     target = entry.target_cls(collector=cov)
     target.startup()
     model = entry.state_model()
     return FuzzEngine(model, DirectTransport(target), cov, seed=seed), cov
+
+
+def _e2e_sized_engine(seed):
+    return _e2e_engine(seed, SIZED_TARGET)
 
 
 def _timed(build, iterations):
@@ -148,13 +157,17 @@ def run_bench():
     single_fast, single_fast_ref = _leg(True, _feather_engine, ITERATIONS)
     e2e_slow, e2e_slow_ref = _leg(False, _e2e_engine, E2E_ITERATIONS)
     e2e_fast, e2e_fast_ref = _leg(True, _e2e_engine, E2E_ITERATIONS)
+    sized_slow, sized_slow_ref = _leg(False, _e2e_sized_engine, E2E_ITERATIONS)
+    sized_fast, sized_fast_ref = _leg(True, _e2e_sized_engine, E2E_ITERATIONS)
     multi_slow = _multi_leg(False)
     multi_fast = _multi_leg(True)
     identical = (single_slow_ref == single_fast_ref
-                 and e2e_slow_ref == e2e_fast_ref)
+                 and e2e_slow_ref == e2e_fast_ref
+                 and sized_slow_ref == sized_fast_ref)
     return {
         "bench": "engine",
         "target": TARGET,
+        "targets": [TARGET, SIZED_TARGET],
         "registry_targets": list(target_names()),
         "iterations": ITERATIONS,
         "e2e_iterations": E2E_ITERATIONS,
@@ -168,6 +181,9 @@ def run_bench():
         "e2e_slow_execs_per_s": round(e2e_slow, 1),
         "e2e_fast_execs_per_s": round(e2e_fast, 1),
         "speedup_e2e": round(e2e_fast / e2e_slow, 2),
+        "e2e_sized_slow_execs_per_s": round(sized_slow, 1),
+        "e2e_sized_fast_execs_per_s": round(sized_fast, 1),
+        "speedup_e2e_sized": round(sized_fast / sized_slow, 2),
         "multi_slow_execs_per_s": round(multi_slow, 1),
         "multi_fast_execs_per_s": round(multi_fast, 1),
         "speedup_multi": round(multi_fast / multi_slow, 2),
@@ -185,11 +201,15 @@ def test_engine_fast_path():
     record = run_bench()
     _write_record(record)
     print("\nengine: single %0.0f -> %0.0f execs/s (%.2fx)  "
-          "e2e %0.0f -> %0.0f (%.2fx)  multi[%d] %0.0f -> %0.0f (%.2fx)"
+          "e2e %0.0f -> %0.0f (%.2fx)  e2e[%s] %0.0f -> %0.0f (%.2fx)  "
+          "multi[%d] %0.0f -> %0.0f (%.2fx)"
           % (record["single_slow_execs_per_s"],
              record["single_fast_execs_per_s"], record["speedup_single"],
              record["e2e_slow_execs_per_s"], record["e2e_fast_execs_per_s"],
-             record["speedup_e2e"], record["instances"],
+             record["speedup_e2e"], SIZED_TARGET,
+             record["e2e_sized_slow_execs_per_s"],
+             record["e2e_sized_fast_execs_per_s"],
+             record["speedup_e2e_sized"], record["instances"],
              record["multi_slow_execs_per_s"],
              record["multi_fast_execs_per_s"], record["speedup_multi"]))
     assert record["identical"], (

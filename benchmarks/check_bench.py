@@ -51,6 +51,8 @@ TIMING_FIELDS = {
         "single_fast_execs_per_s",
         "e2e_slow_execs_per_s",
         "e2e_fast_execs_per_s",
+        "e2e_sized_slow_execs_per_s",
+        "e2e_sized_fast_execs_per_s",
         "multi_slow_execs_per_s",
         "multi_fast_execs_per_s",
     ),

@@ -112,28 +112,35 @@ class InternedCoverageCollector(CoverageCollector):
         The double-map bump is written out inline (not delegated to
         ``IndexedCoverageMap._bump_id``): an extra Python call per hit
         is measurable at instrumentation rates. ``start_run`` presizes
-        the run map, so growth is the rare case.
+        the run map, so growth is the rare case. Each map's counter is
+        bumped on every hit, but its id set and ``sites()`` cache change
+        only when the id is new to that map (``sites()`` depends on the
+        id set alone); a site is new to the run exactly when the total
+        map first sees it.
         """
         entry = self._entries.get(site)
         if entry is None:
             entry = self._intern(site)
         idx, full = entry
-        if idx not in self.total._ids:
-            self.run_new.add(full)
         run = self.run
         counts = run._counts
         if idx >= len(counts):
             counts.frombytes(bytes((idx + 1 - len(counts)) * counts.itemsize))
         counts[idx] += 1
-        run._ids.add(idx)
-        run._sites_cache = None
+        ids = run._ids
+        if idx not in ids:
+            ids.add(idx)
+            run._sites_cache = None
         total = self.total
         counts = total._counts
         if idx >= len(counts):
             counts.frombytes(bytes((idx + 1 - len(counts)) * counts.itemsize))
         counts[idx] += 1
-        total._ids.add(idx)
-        total._sites_cache = None
+        ids = total._ids
+        if idx not in ids:
+            ids.add(idx)
+            total._sites_cache = None
+            self.run_new.add(full)
 
     def branch(self, site: str, taken: bool) -> bool:
         """Record both arms of a two-way branch; returns ``taken``."""
@@ -142,22 +149,25 @@ class InternedCoverageCollector(CoverageCollector):
             pair = (self._intern(site + "/T"), self._intern(site + "/F"))
             self._branch_entries[site] = pair
         idx, full = pair[0] if taken else pair[1]
-        if idx not in self.total._ids:
-            self.run_new.add(full)
         run = self.run
         counts = run._counts
         if idx >= len(counts):
             counts.frombytes(bytes((idx + 1 - len(counts)) * counts.itemsize))
         counts[idx] += 1
-        run._ids.add(idx)
-        run._sites_cache = None
+        ids = run._ids
+        if idx not in ids:
+            ids.add(idx)
+            run._sites_cache = None
         total = self.total
         counts = total._counts
         if idx >= len(counts):
             counts.frombytes(bytes((idx + 1 - len(counts)) * counts.itemsize))
         counts[idx] += 1
-        total._ids.add(idx)
-        total._sites_cache = None
+        ids = total._ids
+        if idx not in ids:
+            ids.add(idx)
+            total._sites_cache = None
+            self.run_new.add(full)
         return taken
 
     def start_run(self) -> None:

@@ -397,19 +397,48 @@ class Message:
     def encode(self) -> bytes:
         if self._tpl is not None:
             state = self._active_state()
-            if self._clean:
-                # Never written to: the encoding is the state's default
-                # bytes, identical for every pristine message (size
-                # relations included — they see default values too).
-                cached = state.default_bytes
-                if cached is None:
-                    cached = state.default_bytes = state.encode(self._values, self)
-                return cached
-            return state.encode(self._values, self)
+            try:
+                if self._clean:
+                    # Never written to: the encoding is the state's
+                    # default bytes, identical for every pristine message
+                    # (size relations included — they see default values
+                    # too).
+                    cached = state.default_bytes
+                    if cached is None:
+                        cached = state.default_bytes = b"".join(
+                            self._parts(state))
+                    return cached
+                return b"".join(state.encode(self._values, self))
+            except Exception:
+                # A value that cannot encode. The encoder fills computed
+                # sizes in last while the walk encodes a size's span
+                # first, so the walk below raises the slow path's error.
+                pass
         return self._encode_element(self.model.root, "")
+
+    def _parts(self, state) -> List[bytes]:
+        """Per-leaf encodings of a template message in ``state``."""
+        if self._clean:
+            parts = state.default_parts
+            if parts is None:
+                parts = state.default_parts = state.encode(self._values, self)
+            return parts
+        return state.encode(self._values, self)
 
     def encode_path(self, path: str) -> bytes:
         """Encode the element at ``path`` (used by size relations)."""
+        if self._tpl is not None:
+            spans = self._active_state().spans
+            span = spans.get(path) if spans is not None else None
+            if span is not None:
+                try:
+                    parts = self._parts(self._state)
+                except Exception:
+                    # A leaf outside ``path`` may hold a value that
+                    # cannot encode; the walk encodes ``path`` alone.
+                    pass
+                else:
+                    return b"".join(parts[span[0]:span[1]])
         return self._encode_element(self.element_at(path), path)
 
     def _encode_element(self, element: DataElement, prefix: str) -> bytes:

@@ -8,7 +8,8 @@ tree for every message operation — ``_populate`` at build time,
 per campaign, so all of that is recomputed constants.
 
 A :class:`ModelTemplate` compiles each model **once** (cached in a
-``WeakKeyDictionary`` keyed by the model object) into:
+``WeakKeyDictionary`` keyed by the model object, so a template lives
+exactly as long as its model) into:
 
 - ``default_values`` / ``default_selections`` — ready-made dicts a new
   message copies instead of walking the tree;
@@ -20,8 +21,13 @@ A :class:`ModelTemplate` compiles each model **once** (cached in a
   dict updates;
 - per-selection-state :class:`_SelectionState` records (cached by the
   sorted selection items) holding the active leaf paths, the mutation
-  target tuple, and a generated encode function with every leaf
-  inlined and its ``struct.Struct`` precompiled.
+  target tuple, the leaf span of every active element path, and a
+  generated encode function with every leaf inlined and its
+  ``struct.Struct`` precompiled.  The function returns one ``bytes``
+  per leaf; a size-of relation whose span is active, excludes the size
+  and holds only such sizes is computed inside it from the lengths of
+  the span's leaves, so a message is encoded in one pass.  Any other
+  size keeps the ``message.encode_path`` call of the slow path.
 
 Templates are derived data: :class:`~repro.fuzzing.datamodel.Message`
 never pickles its ``_tpl`` (checkpoints stay template-free) and
@@ -67,7 +73,9 @@ def _join(prefix: str, name: str) -> str:
 # function compiled once with exec(); constants (masks, lengths, paths)
 # are baked in as literals and per-leaf objects (struct packers, bound
 # default_value methods) are bound through the generated function's
-# globals.  The statements mirror Message._encode_element's
+# globals.  Leaf ``index`` binds its bytes to the local ``b<index>`` and
+# the function returns the list of them in document order.  The
+# statements mirror Message._encode_element's
 # ``values.get(path, default_value())`` + element.encode_value semantics
 # exactly; only the recursion, per-call format parsing and per-leaf
 # Python calls disappear.
@@ -87,9 +95,9 @@ def _emit_number(index, path, element, lines, ns):
         half = 1 << (element.bits - 1)
         lines.append("    v = int(v) & %d" % mask)
         lines.append("    if v >= %d: v -= %d" % (half, 1 << element.bits))
-        lines.append("    a(p%d(v))" % index)
+        lines.append("    b%d = p%d(v)" % (index, index))
     else:
-        lines.append("    a(p%d(int(v) & %d))" % (index, mask))
+        lines.append("    b%d = p%d(int(v) & %d)" % (index, index, mask))
 
 
 def _emit_str(index, path, element, lines, ns):
@@ -98,29 +106,63 @@ def _emit_str(index, path, element, lines, ns):
     lines.append("    v = g(%r, _M)" % path)
     lines.append("    if v is _M: v = d%d()" % index)
     lines.append(
-        "    a(v[:%d] if isinstance(v, bytes)"
-        " else str(v).encode('utf-8', 'replace')[:%d])" % (limit, limit))
+        "    b%d = (v[:%d] if isinstance(v, bytes)"
+        " else str(v).encode('utf-8', 'replace')[:%d])" % (index, limit, limit))
 
 
 def _emit_blob(index, path, element, lines, ns):
     ns["d%d" % index] = element.default_value
     lines.append("    v = g(%r, _M)" % path)
     lines.append("    if v is _M: v = d%d()" % index)
-    lines.append("    a(bytes(v)[:%d])" % element.max_length)
+    lines.append("    b%d = bytes(v)[:%d]" % (index, element.max_length))
+
+
+def _size_packer(element):
+    # _compile validated bits/endian, so the Number that the slow path
+    # would build at encode time cannot fail here.
+    return struct.Struct((">" if element.endian == "big" else "<")
+                         + _STRUCT_CODES[element.bits].upper()).pack
 
 
 def _emit_size(index, path, element, lines, ns):
-    # _compile validated bits/endian, so the Number that the slow path
-    # would build at encode time cannot fail here.
-    ns["p%d" % index] = struct.Struct(
-        (">" if element.endian == "big" else "<")
-        + _STRUCT_CODES[element.bits].upper()).pack
+    # A size's default value is None, so a missing entry reads as
+    # "compute".
+    ns["p%d" % index] = _size_packer(element)
     mask = (1 << element.bits) - 1
-    lines.append("    v = g(%r, _M)" % path)
+    lines.append("    v = g(%r)" % path)
     lines.append(
-        "    if v is _M or v is None:"
-        " v = len(message.encode_path(%r)) + %d" % (element.of, element.adjust))
-    lines.append("    a(p%d(int(v) & %d))" % (index, mask))
+        "    if v is None: v = len(message.encode_path(%r)) + %d"
+        % (element.of, element.adjust))
+    lines.append("    b%d = p%d(int(v) & %d)" % (index, index, mask))
+
+
+def _emit_compiled_size(index, path, element, lines, ns):
+    # A pinned value encodes in place; a computed one is filled in by
+    # _emit_size_total once every leaf of its span has been encoded.
+    ns["p%d" % index] = _size_packer(element)
+    lines.append("    v = g(%r)" % path)
+    lines.append("    b%d = None if v is None else p%d(int(v) & %d)"
+                 % (index, index, (1 << element.bits) - 1))
+
+
+def _emit_size_total(index, element, span, leaves, lines):
+    """The computed value of compiled size ``index``: the byte length of
+    its span plus ``adjust``.  Numbers and sizes encode to a fixed
+    ``bits // 8`` bytes whatever their value, so only strings and blobs
+    are measured at run time."""
+    fixed = element.adjust
+    measured = []
+    for position in range(*span):
+        leaf = leaves[position]
+        if type(leaf) in (Number, Size):
+            fixed += leaf.bits // 8
+        else:
+            measured.append("len(b%d)" % position)
+    if fixed or not measured:
+        measured.append(str(fixed))
+    total = " + ".join(measured)
+    lines.append("    if b%d is None: b%d = p%d((%s) & %d)" % (
+        index, index, index, total, (1 << element.bits) - 1))
 
 
 _LEAF_EMITTERS = {
@@ -134,19 +176,27 @@ _LEAF_EMITTERS = {
 class _SelectionState:
     """The per-selection-assignment compilation products."""
 
-    __slots__ = ("field_paths", "target_paths", "encode", "default_bytes")
+    __slots__ = ("field_paths", "target_paths", "spans", "encode",
+                 "default_parts", "default_bytes")
 
-    def __init__(self, field_paths, target_paths, encode):
+    def __init__(self, field_paths, target_paths, spans, encode):
         #: Active leaf paths in document order (``fields()`` order).
         self.field_paths = field_paths
         #: ``field_paths`` + sorted choice paths: the mutation targets,
         #: matching RandomFieldStrategy's ``fields() + choice_paths()``.
         self.target_paths = target_paths
-        #: ``encode(values, message) -> bytes``: the generated encode
-        #: function for this selection assignment, document order.
+        #: Active element path -> ``(first, end)`` leaf span, or None
+        #: when some size falls back to ``message.encode_path`` (the
+        #: encoder then calls back into the message, so
+        #: ``Message.encode_path`` must not slice it).
+        self.spans = spans
+        #: ``encode(values, message) -> [bytes]``: the generated encode
+        #: function for this selection assignment, one entry per leaf
+        #: in document order.
         self.encode = encode
         #: Lazily cached encoding of a pristine (never-written) message
         #: in this state — every clean message encodes identically.
+        self.default_parts = None
         self.default_bytes = None
 
 
@@ -154,7 +204,10 @@ class ModelTemplate:
     """Everything derivable from a model ahead of the hot loop."""
 
     def __init__(self, model: DataModel):
-        self.model = model
+        #: The model's root, not the model: ``_TEMPLATES`` is keyed
+        #: weakly by the model, so a strong reference here would keep
+        #: every model (and its compiled encoders) alive for good.
+        self.root = model.root
         self.default_values: Dict[str, Any] = {}
         self.default_selections: Dict[str, str] = {}
         #: Every addressable dot-path (all options included) -> element.
@@ -221,8 +274,10 @@ class ModelTemplate:
     def _build_state(self, selections, key) -> _SelectionState:
         field_paths = []
         append = field_paths.append
+        spans: Dict[str, Tuple[int, int]] = {}
 
         def walk(element, prefix):
+            first = len(field_paths)
             kind = type(element)
             if kind is Block:
                 for child in element.children:
@@ -233,25 +288,52 @@ class ModelTemplate:
                 walk(chosen, _join(prefix, chosen.name))
             else:
                 append(prefix)
+            spans[prefix] = (first, len(field_paths))
 
-        walk(self.model.root, "")
+        walk(self.root, "")
+        leaves = [self._leaves[path] for path in field_paths]
+        sizes = {index for index, leaf in enumerate(leaves)
+                 if type(leaf) is Size}
+        compiled: Dict[int, bool] = {}
+
+        def compiles(index):
+            # A size compiles when its span is active and holds only
+            # compiling sizes. Marking it False while its span is
+            # checked makes a size inside its own span, or mutually
+            # enclosing spans, fall back. Every fallback (those, an
+            # inactive option, an invalid path) keeps the encode_path
+            # call and so its exact value or exception.
+            known = compiled.get(index)
+            if known is None:
+                compiled[index] = False
+                span = spans.get(leaves[index].of)
+                known = compiled[index] = span is not None and all(
+                    compiles(inner) for inner in range(*span) if inner in sizes)
+            return known
+
         lines = [
             "def _encode(values, message):",
-            "    parts = []",
-            "    a = parts.append",
             "    g = values.get",
         ]
         namespace: Dict[str, Any] = {"_M": _MISSING}
-        leaves = self._leaves
-        for index, path in enumerate(field_paths):
-            element = leaves[path]
-            _LEAF_EMITTERS[type(element)](index, path, element, lines, namespace)
-        lines.append("    return b''.join(parts)")
+        totals = []
+        for index, (path, element) in enumerate(zip(field_paths, leaves)):
+            if index in sizes and compiles(index):
+                _emit_compiled_size(index, path, element, lines, namespace)
+                _emit_size_total(index, element, spans[element.of], leaves,
+                                 totals)
+            else:
+                _LEAF_EMITTERS[type(element)](
+                    index, path, element, lines, namespace)
+        lines.extend(totals)
+        lines.append("    return [%s]" % ", ".join(
+            "b%d" % index for index in range(len(field_paths))))
         exec("\n".join(lines), namespace)  # noqa: S102 - sources are
         # generated from the model tree alone, nothing user-controlled.
         return _SelectionState(
             tuple(field_paths),
             tuple(field_paths) + tuple(path for path, _ in key),
+            spans if all(compiles(index) for index in sizes) else None,
             namespace["_encode"],
         )
 

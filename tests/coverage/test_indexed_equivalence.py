@@ -3,8 +3,11 @@
 A hypothesis state machine drives a slow-path :class:`CoverageMap` and a
 fast-path :class:`IndexedCoverageMap` through arbitrary operation
 sequences (hit / merge / union / new_sites / same_sites / copy / clear /
-equality) and asserts the observable states never diverge, plus pickle
-round-trip properties for the interner, the map and the interned
+equality) and asserts the observable states never diverge. A second one
+pairs the two collectors through hits, branches, run resets and
+``sites()`` reads interleaved with re-hits of known sites, so a stale
+``sites()`` cache or a missed ``run_new`` entry shows up. Pickle
+round-trip properties cover the interner, the map and the interned
 collector.
 """
 
@@ -119,6 +122,74 @@ class MapEquivalence(RuleBasedStateMachine):
 TestMapEquivalence = MapEquivalence.TestCase
 TestMapEquivalence.settings = settings(max_examples=30, deadline=None,
                                        stateful_step_count=20)
+
+
+class CollectorEquivalence(RuleBasedStateMachine):
+    """Drive both collector flavours through the same hit sequences.
+
+    ``sites()`` results are cached by the interned maps; reading them
+    between re-hits of known sites (which must leave the cache valid)
+    and first hits of a site in a fresh run (which must not) checks the
+    cache's invalidation against the plain collector after every step.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.slow = CoverageCollector("c")
+        self.fast = InternedCoverageCollector("c")
+        #: (kind, site, taken) of every call made so far.
+        self.known = []
+
+    def _call(self, kind, site, taken):
+        if kind == "hit":
+            self.slow.hit(site)
+            self.fast.hit(site)
+        else:
+            assert self.slow.branch(site, taken) == self.fast.branch(site, taken)
+
+    @rule(site=SITES)
+    def hit(self, site):
+        self._call("hit", site, None)
+        self.known.append(("hit", site, None))
+
+    @rule(site=SITES, taken=st.booleans())
+    def branch(self, site, taken):
+        self._call("branch", site, taken)
+        self.known.append(("branch", site, taken))
+
+    @rule(index=st.integers(min_value=0), times=st.integers(1, 3))
+    def rehit_known(self, index, times):
+        if self.known:
+            for _ in range(times):
+                self._call(*self.known[index % len(self.known)])
+
+    @rule()
+    def start_run(self):
+        self.slow.start_run()
+        self.fast.start_run()
+
+    @rule(index=st.integers(min_value=0))
+    def read_then_rehit(self, index):
+        """A sites() read, a re-hit, then the read again."""
+        before = (self.fast.run.sites(), self.fast.total.sites())
+        assert before == (self.slow.run.sites(), self.slow.total.sites())
+        if self.known:
+            self._call(*self.known[index % len(self.known)])
+        assert self.fast.run.sites() == self.slow.run.sites()
+        assert self.fast.total.sites() == self.slow.total.sites()
+
+    @invariant()
+    def observably_identical(self):
+        assert self.fast.run_new == self.slow.run_new
+        assert self.fast.run.sites() == self.slow.run.sites()
+        assert self.fast.total.sites() == self.slow.total.sites()
+        assert self.fast.run.as_dict() == dict(self.slow.run._hits)
+        assert self.fast.total.as_dict() == dict(self.slow.total._hits)
+
+
+TestCollectorEquivalence = CollectorEquivalence.TestCase
+TestCollectorEquivalence.settings = settings(max_examples=40, deadline=None,
+                                             stateful_step_count=30)
 
 
 # -- interner properties ---------------------------------------------------

@@ -8,12 +8,17 @@ operations and require identical observables, plus the template
 machinery's own contracts (caching, fallback, pickling).
 """
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import fastpath
+from repro.errors import FuzzingError
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -25,6 +30,7 @@ from repro.fuzzing.datamodel import (
     Size,
     Str,
 )
+from repro.fuzzing.strategies import RandomFieldStrategy
 from repro.fuzzing.template import (
     ModelTemplate,
     UntemplatableModel,
@@ -225,3 +231,222 @@ class TestTemplateMachinery:
             message = Message(model)  # falls back to the slow path
             assert message._tpl is None
             assert message.encode() == b""
+
+    def test_template_does_not_keep_its_model_alive(self):
+        model = _rich_model()
+        with fastpath.forced(True):
+            assert template_for(model) is not None
+            message = Message(model)
+            message.set("id", 1)
+            message.encode()
+        ref = weakref.ref(model)
+        del model, message
+        gc.collect()
+        assert ref() is None, "the template cache keeps its model alive"
+
+
+# -- size relations ------------------------------------------------------------
+
+
+def _outcome(call):
+    """``("ok", bytes)`` or ``("error", exception type, message)``."""
+    try:
+        return ("ok", call())
+    except RecursionError:
+        return ("error", RecursionError, "")
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("error", type(exc), str(exc))
+
+
+def _assert_size_parity(fast, slow):
+    """Same encoding, and the same ``encode_path`` for every path."""
+    assert fast.fields() == slow.fields()
+    assert _outcome(fast.encode) == _outcome(slow.encode)
+    for path in fast._tpl.elements:
+        assert (_outcome(lambda: fast.encode_path(path))
+                == _outcome(lambda: slow.encode_path(path))), path
+
+
+def _parity_models():
+    models = [_rich_model()]
+    for target in sorted(pit_registry()):
+        models.extend(pit_registry()[target]().data_models())
+    return models
+
+
+_PARITY_MODELS = _parity_models()
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("strategy"), st.integers(0, 2**32)),
+    st.tuples(st.just("select"), st.integers(0), st.integers(0)),
+    st.tuples(st.just("set"), st.integers(0), st.integers(0, 2**32)),
+    st.tuples(st.just("pin"), st.integers(0),
+              st.one_of(st.none(), st.integers(0, 70000))),
+), max_size=8)
+
+
+def _value_for(element, seed):
+    rng = random.Random(seed)
+    if isinstance(element, Number):
+        return rng.randint(element.min_value - 2, element.max_value + 2)
+    if isinstance(element, Str):
+        return "".join(chr(rng.randrange(1, 300))
+                       for _ in range(rng.randrange(40)))
+    return bytes(rng.randrange(256) for _ in range(rng.randrange(40)))
+
+
+class TestSizeParity:
+    @settings(max_examples=150, deadline=None)
+    @given(model_index=st.integers(0, len(_PARITY_MODELS) - 1), ops=_OPS)
+    def test_random_mutations_keep_size_parity(self, model_index, ops):
+        fast, slow = _messages(_PARITY_MODELS[model_index])
+        for op in ops:
+            if op[0] == "strategy":
+                # Each side runs the stock strategy on its own switch
+                # position; the draws are bit-exact across the two.
+                with fastpath.forced(True):
+                    fast = RandomFieldStrategy(valid_ratio=0).apply(
+                        fast, random.Random(op[1]))
+                with fastpath.forced(False):
+                    slow = RandomFieldStrategy(valid_ratio=0).apply(
+                        slow, random.Random(op[1]))
+            elif op[0] == "select":
+                choices = slow.choice_paths()
+                if not choices:
+                    continue
+                path = choices[op[1] % len(choices)]
+                options = slow.element_at(path).options
+                name = options[op[2] % len(options)].name
+                fast.select(path, name)
+                slow.select(path, name)
+            else:
+                leaves = [path for path, _ in slow.fields()]
+                sizes = [path for path in leaves
+                         if isinstance(slow.element_at(path), Size)]
+                pool = sizes if op[0] == "pin" else leaves
+                if not pool:
+                    continue
+                path = pool[op[1] % len(pool)]
+                value = (op[2] if op[0] == "pin"
+                         else _value_for(slow.element_at(path), op[2]))
+                fast.set(path, value)
+                slow.set(path, value)
+        _assert_size_parity(fast, slow)
+
+    def test_pit_size_relations_compile(self):
+        """Every size in the shipped pits is computed in the encoder
+        itself, so Message.encode_path can slice its parts."""
+        for model in _PARITY_MODELS:
+            fast, _ = _messages(model)
+            assert fast._active_state().spans is not None, model.name
+
+    def test_nested_sizes(self):
+        model = DataModel("nested", [
+            Number("header", bits=8, default=0x10),
+            Size("remaining", of="body", bits=8, adjust=1),
+            Block("body", [
+                Size("proto_len", of="body.proto", bits=16),
+                Str("proto", default="MQTT"),
+                Block("inner", [
+                    Size("cid_len", of="body.inner.cid", bits=16,
+                         endian="little", adjust=-1),
+                    Blob("cid", default=b"client"),
+                ]),
+                Number("keepalive", bits=16, default=60),
+            ]),
+        ])
+        fast, slow = _messages(model)
+        assert fast._active_state().spans is not None
+        _assert_size_parity(fast, slow)
+        assert fast.encode() == (b"\x10\x11\x00\x04MQTT\x05\x00client"
+                                 b"\x00\x3c")
+        for message in (fast, slow):
+            message.set("body.proto", "MQIsdp")
+            message.set("body.inner.cid", b"x" * 300)
+            message.set("body.proto_len", 99)
+        _assert_size_parity(fast, slow)
+
+    def test_size_of_unselected_option(self):
+        model = DataModel("opt", [
+            Size("alt_len", of="kind.b", bits=16),
+            Size("kind_len", of="kind", bits=8),
+            Choice("kind", [
+                Block("a", [Str("name", default="host")]),
+                Block("b", [Blob("data", default=b"\x01\x02\x03")]),
+            ]),
+        ])
+        fast, slow = _messages(model)
+        # alt_len measures an inactive option: it keeps the encode_path
+        # call, so the state cannot be sliced.
+        assert fast._active_state().spans is None
+        _assert_size_parity(fast, slow)
+        for message in (fast, slow):
+            message.select("kind", "b")
+            message.set("kind.b.data", b"longer")
+        assert fast._active_state().spans is not None
+        _assert_size_parity(fast, slow)
+        for message in (fast, slow):
+            message.select("kind", "a")
+        _assert_size_parity(fast, slow)
+
+    def test_size_inside_its_own_span(self):
+        model = DataModel("self", [
+            Block("body", [Size("len", of="body", bits=16), Str("s")]),
+        ])
+        fast, slow = _messages(model)
+        with pytest.raises(RecursionError):
+            slow.encode()
+        with pytest.raises(RecursionError):
+            fast.encode()
+        for message in (fast, slow):
+            message.set("body.len", 3)
+        _assert_size_parity(fast, slow)
+
+    def test_mutually_enclosing_spans(self):
+        model = DataModel("cycle", [
+            Block("a", [Size("len_b", of="b", bits=8), Str("s", default="x")]),
+            Block("b", [Size("len_a", of="a", bits=8), Str("t", default="y")]),
+        ])
+        fast, slow = _messages(model)
+        with pytest.raises(RecursionError):
+            slow.encode()
+        with pytest.raises(RecursionError):
+            fast.encode()
+        # Pinning one side breaks the cycle on both paths alike.
+        for message in (fast, slow):
+            message.set("b.len_a", 7)
+        _assert_size_parity(fast, slow)
+        assert fast.encode() == b"\x02x\x07y"
+
+    def test_invalid_size_path(self):
+        model = DataModel("bad", [
+            Size("len", of="no.such", bits=16),
+            Size("ok", of="body", bits=8),
+            Block("body", [Str("s", default="abc")]),
+        ])
+        fast, slow = _messages(model)
+        with pytest.raises(FuzzingError) as slow_error:
+            slow.encode()
+        with pytest.raises(FuzzingError) as fast_error:
+            fast.encode()
+        assert str(fast_error.value) == str(slow_error.value)
+        _assert_size_parity(fast, slow)
+
+    def test_unencodable_values_raise_the_walks_error(self):
+        model = DataModel("badvalues", [
+            Size("len", of="body", bits=8),
+            Number("n", bits=8),
+            Block("body", [Number("m", bits=8), Blob("b")]),
+        ])
+        fast, slow = _messages(model)
+        for message in (fast, slow):
+            message.set("n", "not-a-number")
+            message.set("body.m", "also-not")
+        # The walk reaches body.m through len's span before n.
+        with pytest.raises(ValueError, match="also-not"):
+            slow.encode()
+        _assert_size_parity(fast, slow)
+        for message in (fast, slow):
+            message.set("body.m", 1)
+            message.set("body.b", "text")
+        _assert_size_parity(fast, slow)
