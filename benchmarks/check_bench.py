@@ -9,10 +9,10 @@ invariants, which no amount of runner noise can excuse:
 
 - ``modelbuild`` — the warm cache must execute zero probes and the
   pipeline variants must stay bit-identical;
-- ``engine`` — the fast and slow engine legs must produce identical
-  coverage/messages, and the single-instance fast-path speedup (a
-  *ratio* of two runs on the same machine, so runner speed cancels out)
-  must stay above the record's ``min_speedup`` floor;
+- ``engine`` — every leg's behaviour digest (final coverage map and
+  message count for a fixed seed and iteration budget) must equal the
+  committed baseline's, so a loop change that alters what the engine
+  does fails even when it runs faster;
 - ``ablation`` — the record must cover every mode it claims the registry
   held (``registry_modes``), the adaptive extensions (``plateau``,
   ``statemap``) must be present, and every mode needs positive coverage,
@@ -47,14 +47,10 @@ TIMING_FIELDS = {
         "warm_cache_seconds",
     ),
     "engine": (
-        "single_slow_execs_per_s",
-        "single_fast_execs_per_s",
-        "e2e_slow_execs_per_s",
-        "e2e_fast_execs_per_s",
-        "e2e_sized_slow_execs_per_s",
-        "e2e_sized_fast_execs_per_s",
-        "multi_slow_execs_per_s",
-        "multi_fast_execs_per_s",
+        "single_execs_per_s",
+        "e2e_execs_per_s",
+        "e2e_sized_execs_per_s",
+        "multi_execs_per_s",
     ),
     "ablation": (
         "total_seconds",
@@ -75,7 +71,7 @@ def load_record(path):
     return record
 
 
-def _check_modelbuild(fresh, failures):
+def _check_modelbuild(fresh, baseline, failures):
     if fresh.get("warm_probes_executed") != 0:
         failures.append(
             "warm cache executed %r probes (must be 0): the probe cache "
@@ -87,24 +83,30 @@ def _check_modelbuild(fresh, failures):
                         % fresh.get("identical"))
 
 
-def _check_engine(fresh, failures):
-    if fresh.get("identical") is not True:
-        failures.append(
-            "engine fast/slow legs diverged (identical=%r): the fast path "
-            "no longer reproduces the reference engine's behaviour"
-            % fresh.get("identical"))
-    floor = fresh.get("min_speedup")
-    speedup = fresh.get("speedup_single")
-    if not isinstance(floor, (int, float)) or not isinstance(speedup, (int, float)):
-        failures.append(
-            "engine record lacks numeric speedup_single/min_speedup "
-            "(got %r / %r)" % (speedup, floor))
-        return
-    if speedup < floor:
-        failures.append(
-            "engine fast-path speedup regressed: %.2fx is below the %.1fx "
-            "floor (single-instance execs/sec, fast vs slow leg)"
-            % (speedup, floor))
+#: The engine legs whose behaviour digest the baseline pins.
+_ENGINE_LEGS = ("single", "e2e", "e2e_sized", "multi")
+#: Settings the digests depend on; a baseline recorded under others
+#: cannot vouch for a fresh record.
+_ENGINE_WORKLOAD = ("iterations", "e2e_iterations", "instances", "seed")
+
+
+def _check_engine(fresh, baseline, failures):
+    for name in _ENGINE_WORKLOAD:
+        if fresh.get(name) != baseline.get(name):
+            failures.append(
+                "engine record's %s is %r but the baseline's is %r: the "
+                "digests are only comparable on the same workload"
+                % (name, fresh.get(name), baseline.get(name)))
+            return
+    digests = fresh.get("digests") or {}
+    pinned = baseline.get("digests") or {}
+    for leg in _ENGINE_LEGS:
+        if not digests.get(leg) or digests.get(leg) != pinned.get(leg):
+            failures.append(
+                "engine leg %r digest %r differs from the baseline's %r: "
+                "the engine loop no longer does what it did when the "
+                "baseline was recorded" % (leg, digests.get(leg),
+                                           pinned.get(leg)))
 
 
 #: The adaptive extensions an ablation record must always cover: losing
@@ -114,7 +116,7 @@ def _check_engine(fresh, failures):
 _REQUIRED_ABLATION_MODES = ("plateau", "statemap")
 
 
-def _check_ablation(fresh, failures):
+def _check_ablation(fresh, baseline, failures):
     modes = fresh.get("modes")
     if not isinstance(modes, dict) or not modes:
         failures.append("ablation record lacks a modes mapping (got %r)"
@@ -150,7 +152,7 @@ def _check_ablation(fresh, failures):
                             % name)
 
 
-def _check_fleet(fresh, failures):
+def _check_fleet(fresh, baseline, failures):
     if fresh.get("identical") is not True:
         failures.append(
             "fleet export diverged from the local pool (identical=%r): "
@@ -208,7 +210,8 @@ def _check_targets(fresh, failures, live=None):
             % (sorted(registry), sorted(live)))
 
 
-#: bench kind -> hard-invariant checker appending to the failure list.
+#: bench kind -> hard-invariant checker ``(fresh, baseline, failures)``
+#: appending to the failure list.
 KIND_CHECKS = {
     "modelbuild": _check_modelbuild,
     "engine": _check_engine,
@@ -231,7 +234,7 @@ def check(fresh, baseline, tolerance):
     if checker is None:
         failures.append("unknown bench kind %r" % kind)
         return failures, warnings
-    checker(fresh, failures)
+    checker(fresh, baseline, failures)
     _check_targets(fresh, failures)
     for name in TIMING_FIELDS.get(kind, ()):
         base = baseline.get(name)

@@ -7,21 +7,18 @@ stable string naming that branch.  A :class:`CoverageMap` is a set-like
 bitmap of hit sites supporting union, difference and counting, which is all
 the fuzzers consume.
 
-The hot-loop fast path replaces the string-keyed dicts with a
+The :class:`CoverageCollector` the targets report to records into a
 :class:`SiteInterner` (site string -> dense int id, once per campaign)
-and :class:`IndexedCoverageMap` (array counters + int sets with bulk
-union/diff); :func:`make_collector` picks the backing per the
-:mod:`repro.fastpath` switch. Both backends are observationally
-identical — the differential suite in
-``tests/coverage/test_indexed_equivalence.py`` enforces it.
+and :class:`IndexedCoverageMap` twins (array counters + int sets with
+bulk union/diff), which behave as :class:`CoverageMap` does — the
+differential suite in ``tests/coverage/test_indexed_equivalence.py``
+enforces it.
 """
 
 from repro.coverage.bitmap import CoverageMap
 from repro.coverage.collector import (
     CoverageCollector,
-    InternedCoverageCollector,
     NullCollector,
-    make_collector,
 )
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
@@ -31,9 +28,7 @@ __all__ = [
     "CoverageMap",
     "CoverageCollector",
     "IndexedCoverageMap",
-    "InternedCoverageCollector",
     "NullCollector",
     "SiteInterner",
     "SiteRegistry",
-    "make_collector",
 ]

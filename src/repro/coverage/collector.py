@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro import fastpath
-from repro.coverage.bitmap import CoverageMap
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
 
@@ -15,64 +13,10 @@ class CoverageCollector:
     test cases) and ``total`` (the cumulative bitmap for the campaign).
     Target code holds a reference to the collector and calls :meth:`hit`
     at each decision point — the Python analogue of a trace-pc-guard
-    callback writing into the shared bitmap.
-    """
+    callback writing into the shared bitmap. ``run_new`` holds the
+    (component-prefixed) sites first discovered during the current run.
 
-    def __init__(self, component: str = ""):
-        #: Optional prefix namespacing all sites reported to this collector.
-        self.component = component
-        self.run = CoverageMap()
-        self.total = CoverageMap()
-        #: Sites first discovered during the current run.
-        self.run_new = set()
-
-    def hit(self, site: str) -> None:
-        """Record one execution of branch ``site``."""
-        if self.component:
-            site = self.component + ":" + site
-        if site not in self.total:
-            self.run_new.add(site)
-        self.run._bump(site)
-        self.total._bump(site)
-
-    def branch(self, site: str, taken: bool) -> bool:
-        """Record both arms of a two-way branch; returns ``taken``.
-
-        Instrumenting ``if cov.branch("x", cond):`` yields distinct sites
-        for the true and false arms, like edge coverage distinguishes the
-        two successors of a conditional jump.
-        """
-        self.hit(site + ("/T" if taken else "/F"))
-        return taken
-
-    def start_run(self) -> None:
-        """Reset the per-run map before executing a new test case."""
-        self.run = CoverageMap()
-        self.run_new = set()
-
-    def end_run(self) -> CoverageMap:
-        """Return the per-run map accumulated since :meth:`start_run`."""
-        return self.run
-
-    def reset(self) -> None:
-        """Drop all state (run and total)."""
-        self.run = CoverageMap()
-        self.total = CoverageMap()
-        self.run_new = set()
-
-    def __repr__(self) -> str:
-        return "CoverageCollector(component=%r, total=%d)" % (
-            self.component,
-            len(self.total),
-        )
-
-
-class InternedCoverageCollector(CoverageCollector):
-    """The fast-path collector: interned sites, int-backed maps.
-
-    Observationally identical to :class:`CoverageCollector` — same
-    ``run``/``total``/``run_new`` attributes, same site strings at every
-    reporting boundary — but each hit costs one dict probe on the
+    Sites are interned, so each hit costs one dict probe on the
     (hash-cached) literal the target passed, plus int-set/array bumps:
 
     - ``_entries`` memoises raw site -> ``(id, prefixed site)`` so the
@@ -90,6 +34,7 @@ class InternedCoverageCollector(CoverageCollector):
     """
 
     def __init__(self, component: str = ""):
+        #: Optional prefix namespacing all sites reported to this collector.
         self.component = component
         self.interner = SiteInterner()
         self.run = IndexedCoverageMap(self.interner)
@@ -143,7 +88,12 @@ class InternedCoverageCollector(CoverageCollector):
             self.run_new.add(full)
 
     def branch(self, site: str, taken: bool) -> bool:
-        """Record both arms of a two-way branch; returns ``taken``."""
+        """Record both arms of a two-way branch; returns ``taken``.
+
+        Instrumenting ``if cov.branch("x", cond):`` yields distinct sites
+        ``x/T`` and ``x/F`` for the true and false arms, like edge
+        coverage distinguishes the two successors of a conditional jump.
+        """
         pair = self._branch_entries.get(site)
         if pair is None:
             pair = (self._intern(site + "/T"), self._intern(site + "/F"))
@@ -184,28 +134,24 @@ class InternedCoverageCollector(CoverageCollector):
         self.run = run
         self.run_new = set()
 
+    def end_run(self) -> IndexedCoverageMap:
+        """Return the per-run map accumulated since :meth:`start_run`."""
+        return self.run
+
     def reset(self) -> None:
         """Drop all state (run and total); interned ids stay valid."""
         self.start_run()
         self.total = IndexedCoverageMap(self.interner)
 
     def __repr__(self) -> str:
-        return "InternedCoverageCollector(component=%r, total=%d)" % (
+        return "CoverageCollector(component=%r, total=%d)" % (
             self.component,
             len(self.total),
         )
 
 
-def make_collector(component: str = "", fast=None) -> CoverageCollector:
-    """The collector for new hot-loop instances: interned on the fast
-    path (the default), the plain dict-backed one on the slow path.
-
-    Pass ``fast`` explicitly to reuse a flag value the caller already
-    sampled (so one construction sequence can't straddle a toggle).
-    """
-    if fastpath.enabled() if fast is None else fast:
-        return InternedCoverageCollector(component)
-    return CoverageCollector(component)
+#: Former name of the interned collector, kept for existing importers.
+InternedCoverageCollector = CoverageCollector
 
 
 class NullCollector(CoverageCollector):
@@ -213,3 +159,6 @@ class NullCollector(CoverageCollector):
 
     def hit(self, site: str) -> None:  # noqa: D102 - intentionally no-op
         pass
+
+    def branch(self, site: str, taken: bool) -> bool:  # noqa: D102
+        return taken

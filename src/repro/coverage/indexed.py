@@ -1,6 +1,6 @@
 """Int-backed coverage map over interned branch sites.
 
-:class:`IndexedCoverageMap` is the fast-path twin of
+:class:`IndexedCoverageMap` is the interned counterpart of
 :class:`~repro.coverage.bitmap.CoverageMap`: the same observable API
 (hit / count / sites / merge / union / new_sites / same_sites / copy /
 clear / membership / equality), but keyed internally by the dense ids of
@@ -32,7 +32,7 @@ class IndexedCoverageMap:
     Maps sharing one interner (the per-collector layout) merge and diff
     id-to-id; maps with distinct interners — or a plain
     :class:`CoverageMap` — interoperate through site strings, so every
-    operation the slow path supports keeps working.
+    operation a plain map supports keeps working.
     """
 
     __slots__ = ("interner", "_ids", "_counts", "_sites_cache")
@@ -158,9 +158,9 @@ class IndexedCoverageMap:
     def __eq__(self, other: object) -> bool:
         """Full-state equality: same sites *and* same per-site counts.
 
-        Also answers reflected comparisons against the slow-path
+        Also answers reflected comparisons against a plain
         :class:`CoverageMap` (whose ``__eq__`` returns
-        ``NotImplemented`` for foreign types), so mixed-path comparisons
+        ``NotImplemented`` for foreign types), so mixed comparisons
         work in either direction.
         """
         if isinstance(other, IndexedCoverageMap):

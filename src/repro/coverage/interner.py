@@ -1,7 +1,7 @@
 """Dense integer ids for branch-site strings.
 
 Every branch site a campaign observes is a string like
-``"dnsmasq:dispatch.opcode/T"``.  The slow-path :class:`CoverageMap`
+``"dnsmasq:dispatch.opcode/T"``.  The plain :class:`CoverageMap`
 keys its dict by these strings, which means every hit re-hashes a long
 string in two maps (per-run and total).  A :class:`SiteInterner` assigns
 each distinct site a dense integer id **once per campaign**; the

@@ -150,6 +150,9 @@ def run_specs_fleet(
                 "backend='fleet' with a remote coordinator cannot ship a "
                 "custom runner; agents execute run_spec")
         client = CoordinatorClient(coordinator)
+        # A coordinator started alongside the submitter may not listen
+        # yet; wait for it as ``repro fleet agent`` does.
+        client.wait_ready(timeout=30.0)
         accepted = client.submit(blobs, retries=retries, label=label)
         status = wait_for_session(client, accepted.session_id, poll=poll,
                                   timeout=timeout)

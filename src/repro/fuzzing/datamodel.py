@@ -233,8 +233,7 @@ class Message:
     Paths are dot-joined element names, rooted below the model name
     (e.g. ``header.flags``).
 
-    When the :mod:`repro.fastpath` switch is on (the default) and the
-    model compiles, the message carries a
+    When the model compiles, the message carries a
     :class:`~repro.fuzzing.template.ModelTemplate` in ``_tpl`` and the
     tree-walking operations below become dict probes against it; with
     ``_tpl is None`` every method runs its original recursive body.
@@ -412,7 +411,7 @@ class Message:
             except Exception:
                 # A value that cannot encode. The encoder fills computed
                 # sizes in last while the walk encodes a size's span
-                # first, so the walk below raises the slow path's error.
+                # first, so the walk below raises the walk's own error.
                 pass
         return self._encode_element(self.model.root, "")
 

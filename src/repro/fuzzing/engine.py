@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro import fastpath, fastrand
+from repro import fastrand
 from repro.coverage.collector import CoverageCollector
 from repro.errors import TargetHang
 from repro.fuzzing.datamodel import Message
@@ -43,45 +43,19 @@ class ChannelTransport:
 
     Models the paper's isolated-namespace data plane: the engine writes
     to the client side, the pump drains the server side into the target
-    and routes responses back.
+    and routes responses back. Everything pending on the server side is
+    pulled in one :meth:`~repro.netns.channel.Endpoint.drain` and walked
+    as a plain list, re-draining until the inbox stays empty, so datagrams
+    reach the target in FIFO order.
+
+    If the target faults mid-batch, the unprocessed remainder is pushed
+    back to the *front* of the inbox, leaving queued exactly the datagrams
+    a one-``recv``-per-datagram pump would have left there.
     """
 
     def __init__(self, channel, target: ProtocolTarget):
         self.channel = channel
         self.target = target
-
-    def send(self, payload: bytes) -> Optional[bytes]:
-        self.channel.send_to_server(payload)
-        response: Optional[bytes] = None
-        while True:
-            pending = self.channel.server.recv()
-            if pending is None:
-                break
-            reply = self.target.handle_packet(pending)
-            if reply:
-                self.channel.send_to_client(reply)
-                response = self.channel.client.recv()
-        return response
-
-    def reset(self) -> None:
-        self.target.reset_session()
-
-
-class BatchedChannelTransport(ChannelTransport):
-    """The fast-path transport: drains the server inbox in batches.
-
-    :class:`ChannelTransport` pays one ``recv`` round (deque probe,
-    ``None`` sentinel, loop re-entry) per pending datagram plus a final
-    empty probe per send.  This variant pulls everything pending in one
-    :meth:`~repro.netns.channel.Endpoint.drain` and walks the batch as
-    a plain list, re-draining until the inbox stays empty — the same
-    FIFO order, byte counters and closed-endpoint errors, observed by
-    the differential tests in ``tests/netns/test_channel_batch.py``.
-
-    If the target faults mid-batch, the unprocessed remainder is pushed
-    back to the *front* of the inbox, leaving exactly the datagrams the
-    slow path would have left queued.
-    """
 
     def send(self, payload: bytes) -> Optional[bytes]:
         channel = self.channel
@@ -104,6 +78,13 @@ class BatchedChannelTransport(ChannelTransport):
             except BaseException:
                 server.requeue(batch[done:])
                 raise
+
+    def reset(self) -> None:
+        self.target.reset_session()
+
+
+#: Former name of the batched transport, kept for existing importers.
+BatchedChannelTransport = ChannelTransport
 
 
 @dataclass
@@ -176,12 +157,8 @@ class FuzzEngine:
         if outbox_limit < 1:
             raise ValueError("outbox_limit must be >= 1")
         self.session_length = session_length
-        #: Sampled once at construction (and pickled), so a checkpointed
-        #: engine resumes on the path it was built with.
-        self._fast = fastpath.enabled()
         #: state name -> data-model names of its send actions, in order
-        #: (the action loop skips non-send actions with no other effect,
-        #: so the fast iteration walks this instead). Lazily built.
+        #: (non-send actions have no effect on the loop). Lazily built.
         self._send_models = {}
         self.corpus: List[Message] = []
         #: model name -> corpus entries for that model, in corpus order.
@@ -200,10 +177,9 @@ class FuzzEngine:
         tele = telemetry or NULL_TELEMETRY
         labels = dict(labels or {})
         self.telemetry = tele
-        #: Whether counter bumps observe anything. The fast iteration
-        #: skips the ~10 no-op counter calls per iteration when running
-        #: without telemetry (benchmarks, unit tests); campaigns with a
-        #: live sink count exactly as the slow loop does.
+        #: Whether counter bumps observe anything. The iteration skips
+        #: the ~10 no-op counter calls when running without telemetry
+        #: (benchmarks, unit tests).
         self._tele_live = tele is not NULL_TELEMETRY
         self._c_execs = tele.counter("engine.execs", **labels)
         self._c_messages = tele.counter("engine.messages", **labels)
@@ -259,104 +235,30 @@ class FuzzEngine:
     def _base_message(self, model_name: str) -> Message:
         model = self.state_model.data_model(model_name)
         if self.corpus and self.rng.random() < self.replay_probability:
-            if self._fast:
-                candidates = self._corpus_by_model.get(model_name)
-                if candidates:
-                    return fastrand.choice(self.rng, candidates).copy()
-            else:
-                candidates = [m for m in self.corpus if m.model.name == model_name]
-                if candidates:
-                    return self.rng.choice(candidates).copy()
+            candidates = self._corpus_by_model.get(model_name)
+            if candidates:
+                return fastrand.choice(self.rng, candidates).copy()
         return model.build(self.rng)
 
     def _choose_path(self) -> List[str]:
         if self.allowed_paths:
-            if self._fast:
-                return list(fastrand.choice(self.rng, self.allowed_paths))
-            return list(self.rng.choice(self.allowed_paths))
+            return list(fastrand.choice(self.rng, self.allowed_paths))
         return self.state_model.walk(self.rng)
 
     # -- main loop -----------------------------------------------------------
 
     def run_iteration(self) -> IterationResult:
-        """Execute one iteration: walk the state model, send messages."""
-        if self._fast:
-            return self._run_iteration_fast()
-        if self.iterations % self.session_length == 0:
-            # Fresh connection every few test cases, as a network fuzzer
-            # reconnects between runs.
-            self.transport.reset()
-        self.collector.start_run()
-        path = self._choose_path()
-        fault: Optional[SanitizerFault] = None
-        hung = False
-        sent_messages: List[Message] = []
-        messages_sent = 0
-        responses = 0
-        for state_name in path:
-            state = self.state_model.state(state_name)
-            for action in state.actions:
-                if action.kind != "send":
-                    continue
-                base = self._base_message(action.data_model)
-                message = self.strategy.apply(base, self.rng)
-                self._c_strategy.inc()
-                payload = message.encode()
-                sent_messages.append(message)
-                messages_sent += 1
-                try:
-                    reply = self.transport.send(payload)
-                except SanitizerFault as caught:
-                    fault = caught
-                    break
-                except TargetHang:
-                    hung = True
-                    break
-                if reply:
-                    responses += 1
-            if fault or hung:
-                break
-        new_sites = frozenset(self.collector.run_new)
-        if new_sites and not fault and not hung:
-            self._c_new_cov.inc()
-            self._c_new_sites.inc(len(new_sites))
-            for message in sent_messages:
-                self.add_seed(message)
-        if fault:
-            self.faults_seen += 1
-            self._c_faults.inc()
-            self.transport.reset()
-        if hung:
-            self.hangs_seen += 1
-            self._c_hangs.inc()
-            self.transport.reset()
-        self.iterations += 1
-        self.total_messages += messages_sent
-        self._c_execs.inc()
-        self._c_messages.inc(messages_sent)
-        self._c_responses.inc(responses)
-        return IterationResult(
-            new_sites=new_sites,
-            fault=fault,
-            path=path,
-            messages_sent=messages_sent,
-            responses=responses,
-            hung=hung,
-        )
+        """Execute one iteration: walk the state model, send messages.
 
-    def _run_iteration_fast(self) -> IterationResult:
-        """The fast-path twin of :meth:`run_iteration`.
-
-        Identical control flow and RNG consumption; the deltas are pure
-        mechanics — attribute lookups hoisted out of the send loop, the
-        per-state send actions pre-filtered into :attr:`_send_models`
-        (the slow loop's ``continue`` on recv actions has no other
-        effect), and no-op telemetry bumps skipped when no sink is
-        attached. The golden-parity harness diffs full campaign exports
-        against the slow loop byte for byte.
+        The send actions of each state are pre-filtered into
+        :attr:`_send_models` (recv actions have no effect on the loop),
+        attribute lookups are hoisted out of the send loop, and counter
+        bumps are skipped when no telemetry sink is attached.
         """
         transport = self.transport
         if self.iterations % self.session_length == 0:
+            # Fresh connection every few test cases, as a network fuzzer
+            # reconnects between runs.
             transport.reset()
         collector = self.collector
         collector.start_run()

@@ -5,17 +5,11 @@ numbers, truncation, oversized strings, relation corruption) mirrors the
 mutator families of Peach. Each mutator declares which element types it
 applies to; :func:`mutators_for` selects the applicable set for a field.
 
-Every mutator has two entry points. :meth:`Mutator.mutate` is the
-public one: it preserves the pre-fast-path behaviour bit for bit and,
-when the campaign runs the fast path with a stock generator, defers to
-:meth:`Mutator.mutate_fast`. The fast body draws through
-:mod:`repro.fastrand` (whose helpers consume the generator's state
-exactly like the stdlib methods they replace) and serves per-element
-constants (boundary candidate lists, min/max bounds) from weak memo
-tables — mutation sequences are identical on both paths, the fast one
-just skips the stdlib argument ceremony and property recomputation.
-The hot-loop strategy calls ``mutate_fast`` directly, having already
-established both preconditions once per message.
+Mutators draw through :mod:`repro.fastrand`, whose helpers consume the
+generator's state exactly like the stdlib methods they replace (and
+defer to those methods for generators other than a stock
+:class:`random.Random`), and serve per-element constants (boundary
+candidate lists, min/max bounds) from weak memo tables.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ import random
 from typing import List
 from weakref import WeakKeyDictionary
 
-from repro import fastpath, fastrand
+from repro import fastrand
 from repro.fuzzing.datamodel import (
     Blob,
     Choice,
@@ -49,14 +43,6 @@ _INTERESTING_STRINGS = (
 )
 
 
-def _fast(rng) -> bool:
-    """Fast draws only for the stock generator (subclasses may override
-    their draw methods) and only when the campaign runs the fast path —
-    the slow path must stay an unmodified reference for the engine A/B
-    benchmark."""
-    return type(rng) is random.Random and fastpath.enabled()
-
-
 class Mutator:
     """Base mutator: transforms one field value of a message in place."""
 
@@ -67,12 +53,6 @@ class Mutator:
 
     def mutate(self, message: Message, path: str, rng: random.Random) -> None:
         raise NotImplementedError
-
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
-        """Called by the fast-path strategy once it has verified the
-        generator is a stock :class:`random.Random` and the fast path is
-        on. Third-party mutators inherit the safe fallback."""
-        self.mutate(message, path, rng)
 
     def __repr__(self) -> str:
         return self.name
@@ -102,27 +82,15 @@ class NumberBoundaryMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Number)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
+    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
         element = message.element_at(path)
+        assert isinstance(element, Number)
         candidates = _BOUNDARY_CANDIDATES.get(element)
         if candidates is None:
             low, high = _number_bounds(element)
             candidates = [0, 1, -1, high, high - 1, low, high // 2, high + 1]
             _BOUNDARY_CANDIDATES[element] = candidates
         message.set(path, fastrand.choice(rng, candidates))
-
-    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
-        element = message.element_at(path)
-        assert isinstance(element, Number)
-        candidates = [
-            0, 1, -1, element.max_value, element.max_value - 1,
-            element.min_value, element.max_value // 2,
-            element.max_value + 1,
-        ]
-        message.set(path, rng.choice(candidates))
 
 
 class NumberRandomMutator(Mutator):
@@ -133,17 +101,11 @@ class NumberRandomMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Number)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
-        low, high = _number_bounds(message.element_at(path))
-        message.set(path, fastrand.randint(rng, low, high))
-
     def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
         element = message.element_at(path)
         assert isinstance(element, Number)
-        message.set(path, rng.randint(element.min_value, element.max_value))
+        low, high = _number_bounds(element)
+        message.set(path, fastrand.randint(rng, low, high))
 
 
 class NumberBitFlipMutator(Mutator):
@@ -154,20 +116,11 @@ class NumberBitFlipMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Number)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
-        element = message.element_at(path)
-        current = int(message.get(path) or 0)
-        bit = fastrand.randrange(rng, element.bits)
-        message.set(path, current ^ (1 << bit))
-
     def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
         element = message.element_at(path)
         assert isinstance(element, Number)
         current = int(message.get(path) or 0)
-        bit = rng.randrange(element.bits)
+        bit = fastrand.randrange(rng, element.bits)
         message.set(path, current ^ (1 << bit))
 
 
@@ -179,7 +132,7 @@ class StringMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Str)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
+    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
         current = str(message.get(path) or "")
         action = fastrand.randrange(rng, 4)
         if action == 0:
@@ -194,23 +147,6 @@ class StringMutator(Mutator):
             junk = chr(fastrand.randrange(rng, 1, 256))
             message.set(path, current[:position] + junk + current[position:])
 
-    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
-        current = str(message.get(path) or "")
-        action = rng.randrange(4)
-        if action == 0:
-            message.set(path, rng.choice(_INTERESTING_STRINGS))
-        elif action == 1:
-            message.set(path, current + "A" * rng.choice((16, 256, 2048)))
-        elif action == 2:
-            message.set(path, current[: max(0, len(current) // 2)])
-        else:
-            position = rng.randrange(max(1, len(current) + 1))
-            junk = chr(rng.randrange(1, 256))
-            message.set(path, current[:position] + junk + current[position:])
-
 
 class BlobMutator(Mutator):
     """Bit-flip, truncate, extend or zero a blob."""
@@ -220,7 +156,7 @@ class BlobMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Blob)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
+    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
         current = bytearray(message.get(path) or b"")
         action = fastrand.randrange(rng, 4)
         if action == 0 and current:
@@ -237,23 +173,6 @@ class BlobMutator(Mutator):
                 rng, 256, fastrand.choice(rng, (1, 16, 128))))
         message.set(path, bytes(current))
 
-    def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
-        current = bytearray(message.get(path) or b"")
-        action = rng.randrange(4)
-        if action == 0 and current:
-            index = rng.randrange(len(current))
-            current[index] ^= 1 << rng.randrange(8)
-        elif action == 1:
-            current = current[: len(current) // 2]
-        elif action == 2:
-            current.extend(bytes([rng.randrange(256)]) * rng.choice((8, 64, 512)))
-        else:
-            current = bytearray(rng.randrange(256) for _ in range(rng.choice((1, 16, 128))))
-        message.set(path, bytes(current))
-
 
 class SizeCorruptionMutator(Mutator):
     """Pin a size relation to a wrong value (under/over/huge)."""
@@ -263,23 +182,13 @@ class SizeCorruptionMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Size)
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
-        element = message.element_at(path)
-        actual = len(message.encode_path(element.of)) + element.adjust
-        candidates = [0, actual + 1, max(0, actual - 1), actual * 2,
-                      (1 << element.bits) - 1]
-        message.set(path, fastrand.choice(rng, candidates))
-
     def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
         element = message.element_at(path)
         assert isinstance(element, Size)
         actual = len(message.encode_path(element.of)) + element.adjust
         candidates = [0, actual + 1, max(0, actual - 1), actual * 2,
                       (1 << element.bits) - 1]
-        message.set(path, rng.choice(candidates))
+        message.set(path, fastrand.choice(rng, candidates))
 
 
 class ChoiceSwitchMutator(Mutator):
@@ -290,21 +199,12 @@ class ChoiceSwitchMutator(Mutator):
     def applies_to(self, element: DataElement) -> bool:
         return isinstance(element, Choice) and len(element.options) > 1
 
-    def mutate_fast(self, message: Message, path: str, rng: random.Random) -> None:
-        element = message.element_at(path)
-        current = message.selection(path)
-        others = [option.name for option in element.options if option.name != current]
-        message.select(path, fastrand.choice(rng, others))
-
     def mutate(self, message: Message, path: str, rng: random.Random) -> None:
-        if _fast(rng):
-            self.mutate_fast(message, path, rng)
-            return
         element = message.element_at(path)
         assert isinstance(element, Choice)
         current = message.selection(path)
         others = [option.name for option in element.options if option.name != current]
-        message.select(path, rng.choice(others))
+        message.select(path, fastrand.choice(rng, others))
 
 
 #: The default mutator pool, in a deterministic order.

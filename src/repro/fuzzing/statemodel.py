@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import fastpath
 from repro.errors import FuzzingError
 from repro.fuzzing.datamodel import DataModel
 
@@ -74,7 +73,7 @@ class StateModel:
                 raise FuzzingError("duplicate data model %r" % model.name)
             self._data_models[model.name] = model
         #: state name -> (targets, cum_weights, total, hi) for the
-        #: fast transition draw in :meth:`walk` (built lazily; plain
+        #: transition draw in :meth:`walk` (built lazily; plain
         #: data, so it checkpoints along with the model).
         self._walk_cache: Dict[str, tuple] = {}
         self._validate()
@@ -119,7 +118,7 @@ class StateModel:
         """
         path = [self.initial]
         current = self._states[self.initial]
-        if type(rng) is random.Random and fastpath.enabled():
+        if type(rng) is random.Random:
             # ``Random.choices(pop, weights=w, k=1)`` re-accumulates the
             # weights and re-derives its bisect bounds every call; its
             # draw is ``pop[bisect(cum, random() * total, 0, hi)]`` on

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from repro import fastpath
 from repro.fuzzing.datamodel import Message
 from repro.fuzzing.mutators import DEFAULT_MUTATORS, Mutator, mutators_for
 
@@ -25,13 +24,12 @@ class RandomFieldStrategy(MutationStrategy):
     between 1 and ``max_fields`` randomly chosen fields (including choice
     selections) are mutated with applicable mutators.
 
-    On the fast path the per-call work — rebuilding the target-path
-    list, resolving elements, recomputing applicable mutator sets — is
-    served from the message's model template and a per-strategy
-    memo; the draws themselves are bit-exact (:mod:`repro.fastrand`),
-    so both code paths pick identical mutations.  The path is sampled
-    at construction, like the engine's, so checkpointed strategies
-    resume on the path they were built with.
+    For a templated message and a stock :class:`random.Random` the
+    per-call work — rebuilding the target-path list, resolving elements,
+    recomputing applicable mutator sets — is served from the message's
+    model template and a per-strategy memo, with the stdlib draws
+    inlined bit-exactly. Untemplated messages and other generators take
+    the generic body, which picks the same mutations.
     """
 
     def __init__(self, max_fields: int = 3, valid_ratio: float = 0.2,
@@ -43,8 +41,7 @@ class RandomFieldStrategy(MutationStrategy):
         self.max_fields = max_fields
         self.valid_ratio = valid_ratio
         self.pool = tuple(pool)
-        self._fast = fastpath.enabled()
-        #: element -> (bound mutate_fast methods, len, len.bit_length());
+        #: element -> (bound mutate methods, len, len.bit_length());
         #: elements are immutable per campaign, so the set never changes.
         #: Dropped from pickles — unpickled element keys would be copies
         #: that never match the campaign's elements.
@@ -60,8 +57,8 @@ class RandomFieldStrategy(MutationStrategy):
         self._applicable = {}
 
     def apply(self, message: Message, rng: random.Random) -> Message:
-        if self._fast and message._tpl is not None and type(rng) is random.Random:
-            return self._apply_fast(message, rng)
+        if message._tpl is not None and type(rng) is random.Random:
+            return self._apply_templated(message, rng)
         if rng.random() < self.valid_ratio:
             return message
         mutated = message.copy()
@@ -80,7 +77,7 @@ class RandomFieldStrategy(MutationStrategy):
             mutator.mutate(mutated, path, rng)
         return mutated
 
-    def _apply_fast(self, message: Message, rng: random.Random) -> Message:
+    def _apply_templated(self, message: Message, rng: random.Random) -> Message:
         if rng.random() < self.valid_ratio:
             return message
         mutated = message.copy()
@@ -116,18 +113,18 @@ class RandomFieldStrategy(MutationStrategy):
             if entry is None:
                 applicable = mutators_for(element, self.pool)
                 entry = (
-                    [mutator.mutate_fast for mutator in applicable],
+                    [mutator.mutate for mutator in applicable],
                     len(applicable),
                     len(applicable).bit_length(),
                 )
                 memo[element] = entry
-            mutate_fasts, n, ka = entry
+            mutates, n, ka = entry
             if not n:
                 continue
             r = getrandbits(ka)
             while r >= n:
                 r = getrandbits(ka)
-            mutate_fasts[r](mutated, path, rng)
+            mutates[r](mutated, path, rng)
         return mutated
 
 

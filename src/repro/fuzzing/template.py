@@ -1,7 +1,7 @@
-"""Compiled per-model templates: the Message fast path.
+"""Compiled per-model templates for :class:`~repro.fuzzing.datamodel.Message`.
 
-The slow path re-walks a :class:`~repro.fuzzing.datamodel.DataModel`
-tree for every message operation — ``_populate`` at build time,
+Without a template, a message re-walks its
+:class:`~repro.fuzzing.datamodel.DataModel` tree for every operation — ``_populate`` at build time,
 ``_collect`` for ``fields()``, part-by-part resolution in
 ``element_at``, a full recursive descent (with per-call
 ``struct.pack`` format parsing) in ``encode()``.  The tree is immutable
@@ -27,15 +27,14 @@ exactly as long as its model) into:
   per leaf; a size-of relation whose span is active, excludes the size
   and holds only such sizes is computed inside it from the lengths of
   the span's leaves, so a message is encoded in one pass.  Any other
-  size keeps the ``message.encode_path`` call of the slow path.
+  size keeps the ``message.encode_path`` call of the tree walk.
 
 Templates are derived data: :class:`~repro.fuzzing.datamodel.Message`
 never pickles its ``_tpl`` (checkpoints stay template-free) and
-re-resolves it on unpickle, honouring the :mod:`repro.fastpath` switch
-at that moment.  Models containing element types the compiler does not
-understand raise :class:`UntemplatableModel` internally and fall back
-to the slow path wholesale — behaviour, including error behaviour,
-stays identical either way.
+re-resolves it on unpickle.  Models containing element types the
+compiler does not understand raise :class:`UntemplatableModel`
+internally and fall back to the recursive tree walk wholesale —
+behaviour, including error behaviour, stays identical either way.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro import fastpath
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -61,7 +59,7 @@ _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 class UntemplatableModel(Exception):
     """The model contains an element the template compiler cannot prove
-    equivalent encode/populate behaviour for; use the slow path."""
+    equivalent encode/populate behaviour for; use the tree walk."""
 
 
 def _join(prefix: str, name: str) -> str:
@@ -118,7 +116,7 @@ def _emit_blob(index, path, element, lines, ns):
 
 
 def _size_packer(element):
-    # _compile validated bits/endian, so the Number that the slow path
+    # _compile validated bits/endian, so the Number that the tree walk
     # would build at encode time cannot fail here.
     return struct.Struct((">" if element.endian == "big" else "<")
                          + _STRUCT_CODES[element.bits].upper()).pack
@@ -255,7 +253,7 @@ class ModelTemplate:
             ):
                 # Size defers width/endian validation to encode time
                 # (it builds a throwaway Number there); refuse invalid
-                # specs so the slow path keeps raising the canonical
+                # specs so the tree walk keeps raising the canonical
                 # error.
                 raise UntemplatableModel(
                     "size element %r has unsupported spec" % element.name)
@@ -343,10 +341,8 @@ _UNTEMPLATABLE = object()
 
 
 def template_for(model: DataModel) -> Optional[ModelTemplate]:
-    """The compiled template for ``model``, or ``None`` when the fast
-    path is off or the model cannot be compiled faithfully."""
-    if not fastpath.enabled():
-        return None
+    """The compiled template for ``model``, or ``None`` when the model
+    cannot be compiled faithfully."""
     template = _TEMPLATES.get(model)
     if template is None:
         try:

@@ -70,7 +70,9 @@ __all__ = [
 #: 2: the pickled campaign context gained the fault-plane injector.
 #: 3: the quantification report pickles its probe log as plain
 #: ``(assignment, branches, failed, sites)`` rows with shared site sets.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: 4: the engine, its mutation strategy and each fuzzing instance no
+#: longer pickle a flag choosing between two engine loops.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _MANIFEST_NAME = "MANIFEST.json"
 _BLOB_PATTERN = re.compile(r"^ckpt-(\d+)\.pkl$")

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro import fastpath
 from repro.core.reassembly import ConfigBundle
-from repro.coverage.collector import make_collector
-from repro.fuzzing.engine import (
-    BatchedChannelTransport,
-    ChannelTransport,
-    FuzzEngine,
-    IterationResult,
-)
+from repro.coverage.collector import CoverageCollector
+from repro.fuzzing.engine import ChannelTransport, FuzzEngine, IterationResult
 from repro.netns.namespace import NetworkNamespace
 from repro.targets.base import ProtocolTarget
 
@@ -37,10 +31,7 @@ class FuzzingInstance:
         self.target_cls = target_cls
         self.namespace = namespace
         self.bundle = bundle or ConfigBundle()
-        #: Fast/slow sampled once; collector layout and transport flavour
-        #: must agree for the life of the instance (checkpoints included).
-        self._fast = fastpath.enabled()
-        self.collector = make_collector(target_cls.NAME, fast=self._fast)
+        self.collector = CoverageCollector(target_cls.NAME)
         #: Instance is unavailable until this simulated time (restarting).
         self.down_until = 0.0
         #: Permanently disabled (supervisor gave up on revival).
@@ -80,11 +71,7 @@ class FuzzingInstance:
             self.channel = self.namespace.bind(port)
             self._bound_port = port
         self.target = target
-        transport_cls = (
-            BatchedChannelTransport if getattr(self, "_fast", False)
-            else ChannelTransport
-        )
-        transport = transport_cls(self.channel, target)
+        transport = ChannelTransport(self.channel, target)
         if self.engine is None:
             self.engine = self._engine_factory(transport, self.collector)
         else:

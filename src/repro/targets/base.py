@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.extraction import ConfigSources
 from repro.coverage.bitmap import CoverageMap
-from repro.coverage.collector import CoverageCollector, make_collector
+from repro.coverage.collector import CoverageCollector
 from repro.errors import StartupError, TargetError
 
 
@@ -37,7 +37,7 @@ class ProtocolTarget:
     PORT = 0
 
     def __init__(self, collector: Optional[CoverageCollector] = None):
-        self.cov = collector or make_collector(self.NAME)
+        self.cov = collector or CoverageCollector(self.NAME)
         self.config: Dict[str, Any] = {}
         self.started = False
 

@@ -62,4 +62,7 @@ class TestCoverageCollector:
     def test_null_collector_discards(self):
         collector = NullCollector()
         collector.hit("a")
+        assert collector.branch("b", True) is True
+        assert collector.branch("b", False) is False
         assert len(collector.total) == 0
+        assert collector.run_new == set()

@@ -1,26 +1,25 @@
 """Differential suite: IndexedCoverageMap must mirror CoverageMap.
 
-A hypothesis state machine drives a slow-path :class:`CoverageMap` and a
-fast-path :class:`IndexedCoverageMap` through arbitrary operation
+A hypothesis state machine drives a plain :class:`CoverageMap` and an
+interned :class:`IndexedCoverageMap` through arbitrary operation
 sequences (hit / merge / union / new_sites / same_sites / copy / clear /
 equality) and asserts the observable states never diverge. A second one
-pairs the two collectors through hits, branches, run resets and
-``sites()`` reads interleaved with re-hits of known sites, so a stale
-``sites()`` cache or a missed ``run_new`` entry shows up. Pickle
-round-trip properties cover the interner, the map and the interned
-collector.
+pairs the interned :class:`CoverageCollector` with a plain reference
+collector over :class:`CoverageMap` through hits, branches, run resets
+and ``sites()`` reads interleaved with re-hits of known sites, so a
+stale ``sites()`` cache or a missed ``run_new`` entry shows up. Pickle
+round-trip properties cover the interner, the map and the collector.
 """
 
 import pickle
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.coverage.bitmap import CoverageMap
-from repro.coverage.collector import CoverageCollector, InternedCoverageCollector
+from repro.coverage.collector import CoverageCollector
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
 
@@ -124,28 +123,60 @@ TestMapEquivalence.settings = settings(max_examples=30, deadline=None,
                                        stateful_step_count=20)
 
 
+class ReferenceCollector:
+    """The collector contract written out plainly over :class:`CoverageMap`.
+
+    Each hit bumps a string-keyed run map and total map; a site is new
+    to the run when the total map has not seen it. The interned
+    :class:`CoverageCollector` must be indistinguishable from this.
+    """
+
+    def __init__(self, component: str = ""):
+        self.component = component
+        self.run = CoverageMap()
+        self.total = CoverageMap()
+        self.run_new = set()
+
+    def hit(self, site: str) -> None:
+        if self.component:
+            site = self.component + ":" + site
+        if site not in self.total:
+            self.run_new.add(site)
+        self.run._bump(site)
+        self.total._bump(site)
+
+    def branch(self, site: str, taken: bool) -> bool:
+        self.hit(site + ("/T" if taken else "/F"))
+        return taken
+
+    def start_run(self) -> None:
+        self.run = CoverageMap()
+        self.run_new = set()
+
+
 class CollectorEquivalence(RuleBasedStateMachine):
-    """Drive both collector flavours through the same hit sequences.
+    """Drive the collector and its reference through the same hits.
 
     ``sites()`` results are cached by the interned maps; reading them
     between re-hits of known sites (which must leave the cache valid)
     and first hits of a site in a fresh run (which must not) checks the
-    cache's invalidation against the plain collector after every step.
+    cache's invalidation against the reference after every step.
     """
 
     def __init__(self):
         super().__init__()
-        self.slow = CoverageCollector("c")
-        self.fast = InternedCoverageCollector("c")
+        self.reference = ReferenceCollector("c")
+        self.collector = CoverageCollector("c")
         #: (kind, site, taken) of every call made so far.
         self.known = []
 
     def _call(self, kind, site, taken):
         if kind == "hit":
-            self.slow.hit(site)
-            self.fast.hit(site)
+            self.reference.hit(site)
+            self.collector.hit(site)
         else:
-            assert self.slow.branch(site, taken) == self.fast.branch(site, taken)
+            assert (self.reference.branch(site, taken)
+                    == self.collector.branch(site, taken))
 
     @rule(site=SITES)
     def hit(self, site):
@@ -165,26 +196,28 @@ class CollectorEquivalence(RuleBasedStateMachine):
 
     @rule()
     def start_run(self):
-        self.slow.start_run()
-        self.fast.start_run()
+        self.reference.start_run()
+        self.collector.start_run()
 
     @rule(index=st.integers(min_value=0))
     def read_then_rehit(self, index):
         """A sites() read, a re-hit, then the read again."""
-        before = (self.fast.run.sites(), self.fast.total.sites())
-        assert before == (self.slow.run.sites(), self.slow.total.sites())
+        reference, collector = self.reference, self.collector
+        before = (collector.run.sites(), collector.total.sites())
+        assert before == (reference.run.sites(), reference.total.sites())
         if self.known:
             self._call(*self.known[index % len(self.known)])
-        assert self.fast.run.sites() == self.slow.run.sites()
-        assert self.fast.total.sites() == self.slow.total.sites()
+        assert collector.run.sites() == reference.run.sites()
+        assert collector.total.sites() == reference.total.sites()
 
     @invariant()
     def observably_identical(self):
-        assert self.fast.run_new == self.slow.run_new
-        assert self.fast.run.sites() == self.slow.run.sites()
-        assert self.fast.total.sites() == self.slow.total.sites()
-        assert self.fast.run.as_dict() == dict(self.slow.run._hits)
-        assert self.fast.total.as_dict() == dict(self.slow.total._hits)
+        reference, collector = self.reference, self.collector
+        assert collector.run_new == reference.run_new
+        assert collector.run.sites() == reference.run.sites()
+        assert collector.total.sites() == reference.total.sites()
+        assert collector.run.as_dict() == dict(reference.run._hits)
+        assert collector.total.as_dict() == dict(reference.total._hits)
 
 
 TestCollectorEquivalence = CollectorEquivalence.TestCase
@@ -231,10 +264,8 @@ def test_indexed_map_pickle_preserves_shared_interner():
     assert restored_left == left and restored_right == right
 
 
-@pytest.mark.parametrize("flavor", ["slow", "fast"])
-def test_collector_pickle_round_trip(flavor):
-    collector = (CoverageCollector("comp") if flavor == "slow"
-                 else InternedCoverageCollector("comp"))
+def test_collector_pickle_round_trip():
+    collector = CoverageCollector("comp")
     rng = random.Random(3)
     for _ in range(50):
         collector.branch("site%d" % rng.randrange(8), rng.random() < 0.5)
@@ -243,35 +274,29 @@ def test_collector_pickle_round_trip(flavor):
     restored = pickle.loads(pickle.dumps(collector))
     assert restored.component == collector.component
     assert restored.run_new == collector.run_new
-    assert dict(_hits(restored.total)) == dict(_hits(collector.total))
-    assert dict(_hits(restored.run)) == dict(_hits(collector.run))
+    assert restored.total.as_dict() == collector.total.as_dict()
+    assert restored.run.as_dict() == collector.run.as_dict()
     # The restored collector keeps collecting consistently.
     restored.hit("after-restore")
     collector.hit("after-restore")
-    assert dict(_hits(restored.total)) == dict(_hits(collector.total))
-
-
-def _hits(coverage_map):
-    if hasattr(coverage_map, "as_dict"):
-        return coverage_map.as_dict()
-    return coverage_map._hits
+    assert restored.total.as_dict() == collector.total.as_dict()
 
 
 def test_collectors_observe_identically():
-    """The two collector flavours report the same run/total/run_new."""
-    slow, fast = CoverageCollector("c"), InternedCoverageCollector("c")
+    """The collector reports the same run/total/run_new as its reference."""
+    reference, collector = ReferenceCollector("c"), CoverageCollector("c")
     rng = random.Random(7)
     for step in range(200):
         if step % 17 == 0:
-            slow.start_run()
-            fast.start_run()
+            reference.start_run()
+            collector.start_run()
         site = "s%d" % rng.randrange(12)
         if rng.random() < 0.5:
-            slow.hit(site)
-            fast.hit(site)
+            reference.hit(site)
+            collector.hit(site)
         else:
             taken = rng.random() < 0.5
-            assert slow.branch(site, taken) == fast.branch(site, taken)
-        assert slow.run_new == fast.run_new
-    assert dict(slow.total._hits) == fast.total.as_dict()
-    assert dict(slow.run._hits) == fast.run.as_dict()
+            assert reference.branch(site, taken) == collector.branch(site, taken)
+        assert reference.run_new == collector.run_new
+    assert dict(reference.total._hits) == collector.total.as_dict()
+    assert dict(reference.run._hits) == collector.run.as_dict()

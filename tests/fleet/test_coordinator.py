@@ -6,8 +6,10 @@ threads — with a cheap in-process runner so the suite stays fast.
 """
 
 import dataclasses
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -253,6 +255,34 @@ class TestRemoteDispatch:
             assert [c.index for c in cells] == [0, 1]
         finally:
             server.stop()
+
+    def test_run_specs_fleet_waits_for_a_late_coordinator(self):
+        """Submitting before the coordinator listens must wait for it,
+        not fail the grid with CoordinatorUnavailable."""
+        from repro.fleet import run_specs_fleet
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            submitted = pool.submit(
+                run_specs_fleet, [FakeSpec(3)],
+                coordinator="http://127.0.0.1:%d" % port, poll=0.05,
+                timeout=15.0)
+            time.sleep(0.5)
+            server = serve(port=port, config=FleetConfig(
+                lease_ttl=5.0, heartbeat_interval=1.0)).start()
+            agent = FleetAgent(CoordinatorClient(server.url), name="late",
+                               runner=_runner, cache=False, poll=0.02)
+            thread = threading.Thread(target=agent.run, daemon=True)
+            thread.start()
+            try:
+                cells = submitted.result(timeout=20.0)
+            finally:
+                agent.stop()
+                thread.join(5.0)
+                server.stop()
+        assert [c.outcome for c in cells] == [{"doubled": 6}]
 
     def test_remote_dispatch_rejects_custom_runner(self):
         from repro.fleet import run_specs_fleet

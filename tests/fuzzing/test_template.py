@@ -1,24 +1,27 @@
-"""Model-template tests: the fast message path must mirror the slow one.
+"""Model-template tests: templated messages must mirror the tree walk.
 
 :mod:`repro.fuzzing.template` precompiles a model into dict-backed
 defaults, per-selection-state generated encoders and an element index;
-``Message`` consults the template whenever the fast path is on. These
-tests drive templated and untemplated messages through the same
-operations and require identical observables, plus the template
-machinery's own contracts (caching, fallback, pickling).
+``Message`` consults the template whenever its model compiles, and
+walks the model tree otherwise. These tests drive templated messages
+and messages built with ``template_for`` patched to return ``None``
+(the path untemplatable models take) through the same operations and
+require identical observables, plus the template machinery's own
+contracts (caching, fallback, pickling).
 """
 
 import gc
 import pickle
 import random
 import weakref
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.errors import FuzzingError
+from repro.fuzzing import datamodel
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -57,11 +60,19 @@ def _rich_model():
     ])
 
 
+@contextmanager
+def _untemplated():
+    """Messages built inside this block get no template and walk their
+    model tree, exactly as messages of untemplatable models do."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datamodel, "_template_for", lambda model: None)
+        yield
+
+
 def _messages(model):
-    """A (fast, slow) message pair for the same model."""
-    with fastpath.forced(True):
-        fast = Message(model)
-    with fastpath.forced(False):
+    """A (templated, tree-walking) message pair for the same model."""
+    fast = Message(model)
+    with _untemplated():
         slow = Message(model)
     assert fast._tpl is not None, "fast message did not get a template"
     assert slow._tpl is None, "slow message unexpectedly templated"
@@ -116,8 +127,7 @@ class TestMessageParity:
         fast, slow = _messages(_rich_model())
         fast.set("id", 99)
         slow.set("id", 99)
-        with fastpath.forced(True):
-            restored = pickle.loads(pickle.dumps(fast))
+        restored = pickle.loads(pickle.dumps(fast))
         assert restored._tpl is not None
         assert restored.encode() == fast.encode() == slow.encode()
         assert restored.fields() == fast.fields()
@@ -156,48 +166,37 @@ class TestMessageParity:
 class TestCleanEncodeCache:
     def test_clean_messages_share_default_bytes(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            first = Message(model)
-            second = Message(model)
-            assert first.encode() == second.encode()
-            # Identity: the second encode is served from the state cache.
-            assert first.encode() is second.encode()
+        first = Message(model)
+        second = Message(model)
+        assert first.encode() == second.encode()
+        # Identity: the second encode is served from the state cache.
+        assert first.encode() is second.encode()
 
     def test_write_invalidates_cleanliness(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            message = Message(model)
-            default = message.encode()
-            message.set("id", 8)
-            assert message.encode() != default
-            # A fresh message still gets the pristine bytes.
-            assert Message(model).encode() == default
+        message = Message(model)
+        default = message.encode()
+        message.set("id", 8)
+        assert message.encode() != default
+        # A fresh message still gets the pristine bytes.
+        assert Message(model).encode() == default
 
     def test_select_invalidates_cleanliness(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            message = Message(model)
-            pristine = message.encode()
-            message.select("kind", "answer")
-            with fastpath.forced(False):
-                reference = Message(model)
-            reference.select("kind", "answer")
-            assert message.encode() == reference.encode()
-            assert Message(model).encode() == pristine
+        message = Message(model)
+        pristine = message.encode()
+        message.select("kind", "answer")
+        with _untemplated():
+            reference = Message(model)
+        reference.select("kind", "answer")
+        assert message.encode() == reference.encode()
+        assert Message(model).encode() == pristine
 
 
 class TestTemplateMachinery:
     def test_template_for_is_cached_per_model(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            assert template_for(model) is template_for(model)
-
-    def test_template_for_respects_fastpath_switch(self):
-        model = _rich_model()
-        with fastpath.forced(False):
-            assert template_for(model) is None
-        with fastpath.forced(True):
-            assert template_for(model) is not None
+        assert template_for(model) is template_for(model)
 
     def test_state_for_caches_by_selection(self):
         template = ModelTemplate(_rich_model())
@@ -226,19 +225,17 @@ class TestTemplateMachinery:
         model = DataModel("weird", [Weird("w")])
         with pytest.raises(UntemplatableModel):
             ModelTemplate(model)
-        with fastpath.forced(True):
-            assert template_for(model) is None
-            message = Message(model)  # falls back to the slow path
-            assert message._tpl is None
-            assert message.encode() == b""
+        assert template_for(model) is None
+        message = Message(model)  # falls back to the tree walk
+        assert message._tpl is None
+        assert message.encode() == b""
 
     def test_template_does_not_keep_its_model_alive(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            assert template_for(model) is not None
-            message = Message(model)
-            message.set("id", 1)
-            message.encode()
+        assert template_for(model) is not None
+        message = Message(model)
+        message.set("id", 1)
+        message.encode()
         ref = weakref.ref(model)
         del model, message
         gc.collect()
@@ -302,14 +299,12 @@ class TestSizeParity:
         fast, slow = _messages(_PARITY_MODELS[model_index])
         for op in ops:
             if op[0] == "strategy":
-                # Each side runs the stock strategy on its own switch
-                # position; the draws are bit-exact across the two.
-                with fastpath.forced(True):
-                    fast = RandomFieldStrategy(valid_ratio=0).apply(
-                        fast, random.Random(op[1]))
-                with fastpath.forced(False):
-                    slow = RandomFieldStrategy(valid_ratio=0).apply(
-                        slow, random.Random(op[1]))
+                # The templated message takes the strategy's templated
+                # body, the other its generic one; the draws match.
+                fast = RandomFieldStrategy(valid_ratio=0).apply(
+                    fast, random.Random(op[1]))
+                slow = RandomFieldStrategy(valid_ratio=0).apply(
+                    slow, random.Random(op[1]))
             elif op[0] == "select":
                 choices = slow.choice_paths()
                 if not choices:

@@ -1,10 +1,12 @@
 """Differential tests for the batched channel primitives and transport.
 
-``Endpoint.drain``/``requeue`` and ``Channel.send_many_to_server`` are
-the fast-path additions; :class:`BatchedChannelTransport` builds on them.
-Each test drives the batched primitive and its recv-loop equivalent over
-the same inputs — including faults mid-batch — and requires identical
-endpoint state, byte counters and responses afterwards.
+``Endpoint.drain``/``requeue`` and ``Channel.send_many_to_server`` pull
+or push a batch of datagrams at once; :class:`ChannelTransport` drains
+its server inbox with them. Each test drives the batched primitive and
+its recv-loop equivalent (for the transport, an in-test pump doing one
+``recv`` per datagram) over the same inputs — including faults
+mid-batch — and requires identical endpoint state, byte counters and
+responses afterwards.
 """
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NamespaceError
-from repro.fuzzing.engine import BatchedChannelTransport, ChannelTransport
+from repro.fuzzing.engine import ChannelTransport
 from repro.netns.channel import Channel, Endpoint
 
 PAYLOADS = st.lists(st.binary(min_size=0, max_size=16), max_size=12)
@@ -112,10 +114,32 @@ class _ScriptedTarget:
         self.resets += 1
 
 
+class _RecvLoopTransport:
+    """Reference pump: one ``recv`` round per pending datagram."""
+
+    def __init__(self, channel, target):
+        self.channel = channel
+        self.target = target
+
+    def send(self, payload):
+        self.channel.send_to_server(payload)
+        response = None
+        while True:
+            pending = self.channel.server.recv()
+            if pending is None:
+                break
+            reply = self.target.handle_packet(pending)
+            if reply:
+                self.channel.send_to_client(reply)
+                response = self.channel.client.recv()
+        return response
+
+
 def _transports(reply_every=2, fault_on=None):
-    slow = ChannelTransport(Channel("slow"), _ScriptedTarget(reply_every, fault_on))
-    fast = BatchedChannelTransport(Channel("fast"),
-                                   _ScriptedTarget(reply_every, fault_on))
+    slow = _RecvLoopTransport(Channel("slow"),
+                              _ScriptedTarget(reply_every, fault_on))
+    fast = ChannelTransport(Channel("fast"),
+                            _ScriptedTarget(reply_every, fault_on))
     return slow, fast
 
 
