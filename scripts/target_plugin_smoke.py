@@ -1,16 +1,23 @@
 #!/usr/bin/env python
-"""Out-of-tree target plugin smoke: the discovery contract, end to end.
+"""Out-of-tree plugin smoke: target and mode discovery, end to end.
 
-Authors a throwaway target module in a temporary directory — a package
-nobody in-tree knows about — then drives the installed CLI in fresh
-subprocesses to prove the plugin path works without a single repo edit:
+Authors a throwaway target module and a throwaway mode module in a
+temporary directory — packages nobody in-tree knows about — then drives
+the installed CLI in fresh subprocesses to prove both plugin paths work
+without a single repo edit:
 
 1. without ``CMFUZZ_TARGET_MODULES`` the catalogue must NOT list the
-   plugin (discovery is opt-in, not ambient);
+   plugin target (discovery is opt-in, not ambient);
 2. with the variable set, ``python -m repro targets`` must list the
    plugin alongside every in-tree target;
 3. ``python -m repro campaign --target plugin_smoke`` must run a short
-   campaign against it and export positive coverage.
+   campaign against it and export positive coverage;
+4. likewise ``python -m repro modes`` must list the plugin mode only
+   when ``CMFUZZ_MODE_MODULES`` names its module, next to every in-tree
+   mode;
+5. ``python -m repro campaign --mode plugin_peach --target plugin_smoke``
+   must run a short campaign with both plugins and export positive
+   coverage.
 
 Exits non-zero with a ``FAIL:`` line on the first broken promise. CI's
 ``target-plugin-smoke`` job runs this; it works locally too::
@@ -93,6 +100,19 @@ PLUGIN_SOURCE = textwrap.dedent("""
 """)
 
 
+#: The throwaway mode: an in-tree scheduler class registered under a new
+#: name from a module only discovery knows about.
+MODE_PLUGIN_MODULE = "cmfuzz_smoke_mode_plugin"
+PLUGIN_MODE = "plugin_peach"
+MODE_PLUGIN_SOURCE = textwrap.dedent("""
+    from repro.parallel.peach import PeachParallelMode
+    from repro.parallel.registry import register_mode
+
+    register_mode("plugin_peach", PeachParallelMode,
+                  "Throwaway out-of-tree mode for the CI plugin smoke.")
+""")
+
+
 def fail(message):
     print("FAIL: %s" % message)
     raise SystemExit(1)
@@ -108,80 +128,98 @@ def run_cli(args, env, cwd):
     return proc.stdout
 
 
-def in_tree_targets(env):
-    """The in-tree catalogue, read in a subprocess WITHOUT the plugin
-    discovery variable — the reference the plugin must not disturb."""
+def in_tree_names(env, catalogue):
+    """An in-tree catalogue (``"targets"`` or ``"modes"``), read in a
+    subprocess WITHOUT the plugin discovery variables — the reference
+    the plugins must not disturb."""
+    reader = {"targets": "from repro.targets import target_names as names",
+              "modes": "from repro.parallel import mode_names as names"}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "from repro.targets import target_names; "
-         "print('\\n'.join(target_names()))"],
+         "%s; print('\\n'.join(names()))" % reader[catalogue]],
         env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        fail("could not read the in-tree catalogue:\n%s" % proc.stderr)
+        fail("could not read the in-tree %s:\n%s" % (catalogue, proc.stderr))
     return [line for line in proc.stdout.splitlines() if line]
+
+
+def check_catalogue(catalogue, plugin, variable, builtins, base_env,
+                    plugin_env, cwd):
+    """``repro <catalogue>`` lists ``plugin`` only with ``variable`` set,
+    and then next to every in-tree entry."""
+    table = run_cli([catalogue], base_env, cwd)
+    if "`%s`" % plugin in table:
+        fail("`repro %s` lists %r without %s set"
+             % (catalogue, plugin, variable))
+    table = run_cli([catalogue], plugin_env, cwd)
+    for name in builtins + [plugin]:
+        if "`%s`" % name not in table:
+            fail("`repro %s` table is missing %r:\n%s"
+                 % (catalogue, name, table))
+    print("catalogue lists %d in-tree %s + %r"
+          % (len(builtins), catalogue, plugin))
+
+
+def check_campaign(mode, env, tmpdir):
+    """A short campaign on the plugin target exports positive coverage."""
+    export_path = os.path.join(tmpdir, "plugin_campaign_%s.json" % mode)
+    run_cli(["campaign", "--target", PLUGIN_TARGET, "--mode", mode,
+             "--instances", "2", "--hours", "1", "--seed", "3",
+             "--no-cache", "--export", export_path],
+            env, tmpdir)
+    with open(export_path, encoding="utf-8") as handle:
+        export = json.load(handle)
+    if not export:
+        fail("campaign export is empty")
+    record = export[0]
+    if record.get("target") != PLUGIN_TARGET:
+        fail("export records target %r, expected %r"
+             % (record.get("target"), PLUGIN_TARGET))
+    coverage = record.get("final_coverage", 0)
+    if not coverage or coverage <= 0:
+        fail("campaign reported non-positive coverage %r" % coverage)
+    print("%s campaign on %r exported final_coverage=%s"
+          % (mode, PLUGIN_TARGET, coverage))
 
 
 def main():
     base_env = {k: v for k, v in os.environ.items()
-                if k != "CMFUZZ_TARGET_MODULES"}
+                if k not in ("CMFUZZ_TARGET_MODULES", "CMFUZZ_MODE_MODULES")}
     if base_env.get("PYTHONPATH"):
         # Subprocesses run from a temp dir; keep relative entries (the
         # local `PYTHONPATH=src` invocation) pointing at the repo.
         base_env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p)
             for p in base_env["PYTHONPATH"].split(os.pathsep) if p)
-    builtins = in_tree_targets(base_env)
-    if PLUGIN_TARGET in builtins:
-        fail("%r is already an in-tree target; the smoke needs a fresh name"
-             % PLUGIN_TARGET)
+    targets = in_tree_names(base_env, "targets")
+    modes = in_tree_names(base_env, "modes")
+    if PLUGIN_TARGET in targets or PLUGIN_MODE in modes:
+        fail("%r or %r is already in-tree; the smoke needs fresh names"
+             % (PLUGIN_TARGET, PLUGIN_MODE))
 
     with tempfile.TemporaryDirectory(prefix="cmfuzz-plugin-") as tmpdir:
-        with open(os.path.join(tmpdir, PLUGIN_MODULE + ".py"),
-                  "w", encoding="utf-8") as handle:
-            handle.write(PLUGIN_SOURCE)
+        for module, source in ((PLUGIN_MODULE, PLUGIN_SOURCE),
+                               (MODE_PLUGIN_MODULE, MODE_PLUGIN_SOURCE)):
+            with open(os.path.join(tmpdir, module + ".py"),
+                      "w", encoding="utf-8") as handle:
+                handle.write(source)
 
-        plugin_env = dict(base_env)
-        plugin_env["PYTHONPATH"] = os.pathsep.join(
+        base_env["PYTHONPATH"] = os.pathsep.join(
             p for p in (tmpdir, base_env.get("PYTHONPATH")) if p)
-        plugin_env["CMFUZZ_TARGET_MODULES"] = PLUGIN_MODULE
+        target_env = dict(base_env, CMFUZZ_TARGET_MODULES=PLUGIN_MODULE)
+        both_env = dict(target_env, CMFUZZ_MODE_MODULES=MODE_PLUGIN_MODULE)
 
-        # 1. Discovery is opt-in: no env var, no plugin.
-        table = run_cli(["targets"], base_env, tmpdir)
-        if PLUGIN_TARGET in table:
-            fail("catalogue lists %r without CMFUZZ_TARGET_MODULES set"
-                 % PLUGIN_TARGET)
+        # 1-3. The target plugin: opt-in discovery, then a campaign.
+        check_catalogue("targets", PLUGIN_TARGET, "CMFUZZ_TARGET_MODULES",
+                        targets, base_env, target_env, tmpdir)
+        check_campaign("cmfuzz", target_env, tmpdir)
 
-        # 2. With it, the table lists the plugin AND every in-tree target.
-        table = run_cli(["targets"], plugin_env, tmpdir)
-        for name in builtins + [PLUGIN_TARGET]:
-            if "`%s`" % name not in table:
-                fail("`repro targets` table is missing %r:\n%s"
-                     % (name, table))
-        print("catalogue lists %d in-tree targets + %r"
-              % (len(builtins), PLUGIN_TARGET))
+        # 4-5. The mode plugin, the same way, then both plugins at once.
+        check_catalogue("modes", PLUGIN_MODE, "CMFUZZ_MODE_MODULES",
+                        modes, target_env, both_env, tmpdir)
+        check_campaign(PLUGIN_MODE, both_env, tmpdir)
 
-        # 3. A short campaign against the plugin completes and exports
-        #    positive coverage.
-        export_path = os.path.join(tmpdir, "plugin_campaign.json")
-        run_cli(["campaign", "--target", PLUGIN_TARGET, "--mode", "cmfuzz",
-                 "--instances", "2", "--hours", "1", "--seed", "3",
-                 "--no-cache", "--export", export_path],
-                plugin_env, tmpdir)
-        with open(export_path, encoding="utf-8") as handle:
-            export = json.load(handle)
-        if not export:
-            fail("campaign export is empty")
-        record = export[0]
-        if record.get("target") != PLUGIN_TARGET:
-            fail("export records target %r, expected %r"
-                 % (record.get("target"), PLUGIN_TARGET))
-        coverage = record.get("final_coverage", 0)
-        if not coverage or coverage <= 0:
-            fail("campaign reported non-positive coverage %r" % coverage)
-        print("campaign on %r exported final_coverage=%s"
-              % (PLUGIN_TARGET, coverage))
-
-    print("target plugin smoke: ok")
+    print("plugin smoke: ok")
     return 0
 
 

@@ -42,7 +42,6 @@ from repro.cache import (
     default_cache_dir,
     validate_cache_dir,
 )
-from repro.coverage.bitmap import CoverageMap
 from repro.errors import StartupError
 
 #: Bumped whenever the probe outcome layout or key derivation changes;
@@ -151,11 +150,7 @@ def probe_one(probe: Callable[[Dict[str, Any]], Any],
         if fault_log is not None:
             faults = tuple(serialize_fault(f) for f in fault_log[before:])
         return ProbeOutcome(failed=True, faults=faults)
-    if isinstance(coverage, CoverageMap):
-        sites = coverage.sites()
-    else:
-        sites = frozenset(coverage)
-    return ProbeOutcome(sites=sites)
+    return ProbeOutcome(sites=frozenset(coverage))
 
 
 def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:

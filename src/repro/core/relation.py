@@ -42,15 +42,15 @@ from repro.core.probes import (
     assignment_items,
     deserialize_fault,
 )
-from repro.coverage.bitmap import CoverageMap
 from repro.errors import StartupError
 from repro.telemetry import NULL_TELEMETRY
 
 #: A startup probe: maps a partial configuration assignment to the branch
-#: coverage observed during target startup. It must raise
-#: :class:`~repro.errors.StartupError` (or return empty coverage) when the
+#: sites covered during target startup, as an iterable of site strings
+#: (a coverage map or a plain set). It must raise
+#: :class:`~repro.errors.StartupError` (or return no sites) when the
 #: assignment prevents the target from starting.
-StartupProbe = Callable[[Dict[str, Any]], CoverageMap]
+StartupProbe = Callable[[Dict[str, Any]], Iterable[str]]
 
 
 @dataclass
@@ -235,11 +235,7 @@ class RelationQuantifier:
             coverage = self.probe(dict(assignment))
         except StartupError:
             return ProbeRecord(dict(assignment), 0, failed=True)
-        if isinstance(coverage, CoverageMap):
-            sites = coverage.sites()
-        else:
-            sites = frozenset(coverage)
-        sites = self._share_sites(sites)
+        sites = self._share_sites(frozenset(coverage))
         return ProbeRecord(dict(assignment), len(sites), sites=sites)
 
     def _baseline_sites(self, report: Optional[QuantificationReport]) -> frozenset:

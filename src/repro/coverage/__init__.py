@@ -22,7 +22,6 @@ from repro.coverage.collector import (
 )
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
-from repro.coverage.registry import SiteRegistry
 
 __all__ = [
     "CoverageMap",
@@ -30,5 +29,4 @@ __all__ = [
     "IndexedCoverageMap",
     "NullCollector",
     "SiteInterner",
-    "SiteRegistry",
 ]

@@ -131,13 +131,20 @@ class LeaseTable:
         ))
 
     def _repend(self, cell: Cell, now: float) -> None:
-        """Revoke a lease: epoch bump fences the old holder out."""
+        """Re-pend a leased cell: epoch bump fences the old holder out."""
         cell.state = CELL_PENDING
         cell.epoch += 1
         cell.agent = ""
         cell.leased_at = 0.0
         cell.deadline = 0.0
         self._record(cell, now)
+
+    def _revoke(self, cell: Cell, now: float) -> None:
+        """Take a lease back unfinished (expiry, steal, release): re-pend
+        and refund the attempt its grant charged. Only ``fail`` keeps
+        the charge."""
+        cell.attempts -= 1
+        self._repend(cell, now)
 
     def lease(self, agent: str, now: float) -> Optional[Cell]:
         """Grant the next cell to ``agent``, or ``None`` when idle.
@@ -152,7 +159,7 @@ class LeaseTable:
             cell = self._steal_candidate(agent, now)
             if cell is None:
                 return None
-            self._repend(cell, now)
+            self._revoke(cell, now)
         cell.state = CELL_LEASED
         cell.epoch += 1
         cell.agent = agent
@@ -193,14 +200,14 @@ class LeaseTable:
         expired = [c for c in self.cells
                    if c.state == CELL_LEASED and now >= c.deadline]
         for cell in expired:
-            self._repend(cell, now)
+            self._revoke(cell, now)
         return expired
 
     def expire_agent(self, agent: str, now: float) -> List[Cell]:
         """Re-pend every lease of a dead agent immediately."""
         dropped = self.leased_to(agent)
         for cell in dropped:
-            self._repend(cell, now)
+            self._revoke(cell, now)
         return dropped
 
     def release(self, agent: str, index: int, epoch: int, now: float) -> bool:
@@ -210,8 +217,7 @@ class LeaseTable:
         if cell.state != CELL_LEASED or cell.agent != agent \
                 or cell.epoch != epoch:
             return False
-        cell.attempts -= 1  # a released lease never ran to completion
-        self._repend(cell, now)
+        self._revoke(cell, now)
         return True
 
     def complete(self, agent: str, index: int, epoch: int,

@@ -100,7 +100,7 @@ class CampaignSpec:
 
     Everything a worker needs to reconstruct the live campaign: the
     target and pit come from the registries by ``target`` name, the mode
-    is instantiated as ``MODES[mode](**mode_kwargs)``, and ``config``
+    is instantiated as ``create_mode(mode, **mode_kwargs)``, and ``config``
     carries the seed that makes the run deterministic.
     """
 

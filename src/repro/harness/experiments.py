@@ -23,7 +23,7 @@ from repro.harness.campaign import CampaignConfig, CampaignResult, run_repeated
 from repro.harness.executor import execute_specs, results, specs_for_repeated
 from repro.harness.stats import TimeSeries, mean, speedup
 from repro.harness.supervisor import SupervisorPolicy, event_counts
-from repro.parallel import MODES
+from repro.parallel import mode_names
 from repro.targets.chaos import ChaosPolicy
 from repro.targets.registry import get_target
 from repro.targets.faults import BugLedger
@@ -72,8 +72,9 @@ def _run_fuzzers(
 ) -> SubjectComparison:
     entry = get_target(subject)
     factories = mode_factories or {}
+    registered = mode_names()
     for fuzzer in fuzzers:
-        if fuzzer not in factories and fuzzer not in MODES:
+        if fuzzer not in factories and fuzzer not in registered:
             raise KeyError(fuzzer)
 
     # Registry fuzzers go through the executor as picklable specs (the

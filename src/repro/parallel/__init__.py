@@ -22,9 +22,9 @@ package loads the built-ins:
 - :mod:`repro.parallel.statemap` — reverse-state selection: per-state
   visit counts steer instances toward rarely-reached protocol states.
 
-``MODES`` is a live mapping view over the registry (name -> factory);
-out-of-tree modes join it through ``register_mode`` / discovery without
-any edit here.
+Consumers read the catalogue through :func:`get_mode`,
+:func:`create_mode` and :func:`mode_names`; out-of-tree modes join it
+through ``register_mode`` / discovery without any edit here.
 """
 
 from repro.parallel.base import ParallelMode
@@ -34,9 +34,9 @@ from repro.parallel.instance import FuzzingInstance
 from repro.parallel.peach import PeachParallelMode
 from repro.parallel.plateau import PlateauMode
 from repro.parallel.registry import (
-    MODES,
     ModeEntry,
     create_mode,
+    get_mode,
     mode_entries,
     mode_names,
     register_mode,
@@ -50,7 +50,6 @@ __all__ = [
     "CmFuzzMode",
     "FuzzingInstance",
     "HybridMode",
-    "MODES",
     "ModeEntry",
     "ParallelMode",
     "PeachParallelMode",
@@ -58,6 +57,7 @@ __all__ = [
     "SpFuzzMode",
     "StateMapMode",
     "create_mode",
+    "get_mode",
     "mode_entries",
     "mode_names",
     "register_mode",

@@ -12,8 +12,6 @@ targets plug in via the ``CMFUZZ_TARGET_MODULES`` environment variable
 or the ``repro.targets`` entry-point group.
 """
 
-import warnings
-
 from repro.targets.base import ProtocolTarget, TargetFactory, startup_probe_for
 from repro.targets.faults import BugLedger, CrashReport, FaultKind, SanitizerFault
 from repro.targets.registry import (
@@ -23,7 +21,6 @@ from repro.targets.registry import (
     ManifestError,
     TargetEntry,
     TargetManifest,
-    TARGETS_VIEW,
     create_target,
     get_target,
     load_manifest,
@@ -45,7 +42,6 @@ __all__ = [
     "ManifestError",
     "ProtocolTarget",
     "SanitizerFault",
-    "TARGETS_VIEW",
     "TargetEntry",
     "TargetFactory",
     "TargetManifest",
@@ -57,22 +53,7 @@ __all__ = [
     "startup_probe_for",
     "target_entries",
     "target_names",
-    "target_registry",
     "unregister_target",
     "validate_manifest",
 ]
 
-
-def target_registry():
-    """Deprecated: use :func:`target_entries` / :func:`target_names`.
-
-    Returns the live read-only ``name -> target class`` mapping view over
-    the plugin registry, so existing call sites keep working.
-    """
-    warnings.warn(
-        "target_registry() is deprecated; use repro.targets.target_entries() "
-        "(or target_names()/create_target()) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return TARGETS_VIEW

@@ -18,10 +18,9 @@ harness:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.core.extraction import ConfigSources
-from repro.coverage.bitmap import CoverageMap
 from repro.coverage.collector import CoverageCollector
 from repro.errors import StartupError, TargetError
 
@@ -120,11 +119,12 @@ TargetFactory = Callable[[], ProtocolTarget]
 
 def startup_probe_for(
     factory: TargetFactory, on_fault: Optional[Callable] = None
-) -> Callable[[Dict[str, Any]], CoverageMap]:
+) -> Callable[[Dict[str, Any]], Iterable[str]]:
     """Build the startup probe the relation quantifier consumes.
 
     Each probe call starts a *fresh* target instance with the given
-    partial assignment and returns the startup coverage; startup
+    partial assignment and returns the startup coverage (an iterable of
+    site strings, see :data:`repro.core.relation.StartupProbe`); startup
     failures propagate as :class:`StartupError` (the quantifier maps
     them to zero coverage).
 
@@ -137,7 +137,7 @@ def startup_probe_for(
             startup failure; when omitted, the fault propagates.
     """
 
-    def probe(assignment: Dict[str, Any]) -> CoverageMap:
+    def probe(assignment: Dict[str, Any]) -> Iterable[str]:
         target = factory()
         target.cov.start_run()
         try:

@@ -11,7 +11,8 @@ reconstruction, the probe pool's worker body, the experiment drivers and
 the benchmarks. Adding a target therefore requires zero edits outside
 its own directory (pinned by ``tests/targets/test_registry.py``).
 
-Discovery runs lazily on the first catalogue query:
+Discovery runs lazily on the first catalogue query, through the shared
+:class:`repro.registry.Registry`:
 
 - every subdirectory of ``repro/targets/`` that carries a ``target.json``
   is imported as ``repro.targets.<dirname>`` (importing the package
@@ -39,10 +40,10 @@ from __future__ import annotations
 import importlib
 import json
 import os
-import threading
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
+
+from repro.registry import Registry
 
 #: Environment variable naming extra target modules (comma-separated
 #: import paths) to import during discovery.
@@ -216,12 +217,6 @@ class TargetEntry:
         return self.manifest.port
 
 
-_REGISTRY: Dict[str, TargetEntry] = {}
-_discovered = False
-_discovering = False
-_discover_lock = threading.RLock()
-
-
 def register_target(name: str, target_cls: Callable,
                     state_model: Callable,
                     manifest: TargetManifest,
@@ -235,9 +230,7 @@ def register_target(name: str, target_cls: Callable,
     a stale ``target.json`` fails loudly at registration, not mid-
     campaign. Returns the :class:`TargetEntry`.
     """
-    if not name or not name.replace("-", "_").isidentifier():
-        raise ValueError("target name must be a non-empty identifier, got %r"
-                         % (name,))
+    REGISTRY.check_name(name)
     if not callable(target_cls):
         raise TypeError("target class for %r must be callable, got %r"
                         % (name, type(target_cls).__name__))
@@ -262,24 +255,16 @@ def register_target(name: str, target_cls: Callable,
         raise ManifestError(
             "manifest for %r declares port %r but the class carries %r"
             % (name, manifest.port, cls_port))
-    existing = _REGISTRY.get(name)
-    if existing is not None and not replace:
-        if existing.target_cls is target_cls and \
-                existing.state_model is state_model:
-            return existing
-        raise ValueError(
-            "target %r is already registered to %r (pass replace=True to "
-            "override)" % (name, existing.target_cls))
     entry = TargetEntry(name=name, target_cls=target_cls,
                         state_model=state_model, manifest=manifest,
                         description=manifest.description)
-    _REGISTRY[name] = entry
-    return entry
+    return REGISTRY.add(name, entry, same=("target_cls", "state_model"),
+                        replace=replace)
 
 
 def unregister_target(name: str) -> None:
     """Remove a registration (test hygiene for throwaway targets)."""
-    _REGISTRY.pop(name, None)
+    REGISTRY.remove(name)
 
 
 def _package_directory_targets() -> Tuple[str, ...]:
@@ -296,65 +281,28 @@ def _package_directory_targets() -> Tuple[str, ...]:
     return tuple(found)
 
 
-def _discover() -> None:
-    """Import target packages once (directory scan, env var, entry points).
-
-    Thread-safe: concurrent catalogue queries (fleet agent threads all
-    hitting ``get_target`` at once) serialize on a lock, and
-    ``_discovered`` is only published after the scan completes, so no
-    thread can observe a half-populated registry. A target package that
-    calls back into the registry during its own import re-enters on the
-    same thread and returns immediately (``_discovering``).
-    """
-    global _discovered, _discovering
-    if _discovered:
-        return
-    with _discover_lock:
-        if _discovered or _discovering:
-            return
-        _discovering = True
-        try:
-            _discover_locked()
-        finally:
-            _discovering = False
-            _discovered = True
-
-
-def _discover_locked() -> None:
+def _import_package_directories() -> None:
     for subdir in _package_directory_targets():
         importlib.import_module("repro.targets.%s" % subdir)
-    for module_name in os.environ.get(DISCOVERY_ENV, "").split(","):
-        module_name = module_name.strip()
-        if module_name:
-            importlib.import_module(module_name)
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8 has no importlib.metadata
-        return
-    try:
-        points = metadata.entry_points()
-    except Exception:  # pragma: no cover - broken site metadata must not
-        return         # take the built-in catalogue down with it
-    if hasattr(points, "select"):  # py3.10+
-        group = points.select(group=ENTRY_POINT_GROUP)
-    else:  # py3.9 returns a plain dict
-        group = points.get(ENTRY_POINT_GROUP, ())
-    for point in group:
-        loaded = point.load()
-        # Loading the module usually registers as a side effect; a
-        # callable entry point gets to finish its own registration.
-        if callable(loaded) and not isinstance(loaded, type):
-            loaded()
+
+
+def _load_entry_point(point) -> None:
+    loaded = point.load()
+    # Loading the module usually registers as a side effect; a callable
+    # entry point gets to finish its own registration.
+    if callable(loaded) and not isinstance(loaded, type):
+        loaded()
+
+
+#: The target catalogue.
+REGISTRY = Registry("target", DISCOVERY_ENV, ENTRY_POINT_GROUP,
+                    _load_entry_point,
+                    before_discovery=_import_package_directories)
 
 
 def get_target(name: str) -> TargetEntry:
     """Look up one registration; raises ``KeyError`` naming the catalogue."""
-    _discover()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError("unknown target %r; registered targets: %s"
-                       % (name, ", ".join(sorted(_REGISTRY)) or "<none>"))
+    return REGISTRY.get(name)
 
 
 def create_target(name: str, **kwargs):
@@ -364,14 +312,12 @@ def create_target(name: str, **kwargs):
 
 def target_names() -> Tuple[str, ...]:
     """All registered target names, sorted."""
-    _discover()
-    return tuple(sorted(_REGISTRY))
+    return REGISTRY.names()
 
 
 def target_entries() -> Tuple[TargetEntry, ...]:
     """All registrations, sorted by name."""
-    _discover()
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
+    return REGISTRY.entries()
 
 
 def render_target_table() -> str:
@@ -398,30 +344,3 @@ def render_target_table() -> str:
            "|%s|" % "|".join("-" * (width + 2) for width in widths)]
     out.extend(line(row) for row in rows)
     return "\n".join(out)
-
-
-class _TargetsView(Mapping):
-    """Live read-only ``name -> target class`` view over the registry.
-
-    Handed out by the deprecated ``repro.targets.target_registry()`` so
-    every pre-registry call site (``registry[name]``, ``name in
-    registry``, ``sorted(registry)``, ``.items()``) keeps working while
-    drawing from the single catalogue.
-    """
-
-    def __getitem__(self, name: str) -> Callable:
-        return get_target(name).target_cls
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(target_names())
-
-    def __len__(self) -> int:
-        _discover()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return "TARGETS(%s)" % ", ".join(target_names())
-
-
-#: The single shared mapping view (returned by ``target_registry()``).
-TARGETS_VIEW = _TargetsView()

@@ -248,6 +248,56 @@ class TestResults:
         assert table.cells[0].state == CELL_PENDING  # budget untouched
 
 
+class TestRevokedLeasesAreRefunded:
+    """Expiry, expire_agent and a steal take a lease back unfinished:
+    none of them may charge the retry budget, so a failure reported
+    after one is still the cell's first (``retries=1`` re-pends it)."""
+
+    def _fail(self, table, cell, now):
+        ok, _ = table.fail(cell.agent, cell.index, cell.epoch,
+                           {"kind": "exception"}, now=now)
+        assert ok
+        return table.cells[cell.index]
+
+    def test_failure_after_expiry_is_the_first(self):
+        table = _table(1, lease_ttl=10.0, retries=1)
+        table.lease("a", now=0.0)
+        assert table.expire(now=11.0)
+        cell = self._fail(table, table.lease("b", now=12.0), now=13.0)
+        assert cell.state == CELL_PENDING and cell.attempts == 1
+
+    def test_failure_after_expire_agent_is_the_first(self):
+        table = _table(1, lease_ttl=10.0, retries=1)
+        table.lease("a", now=0.0)
+        assert table.expire_agent("a", now=1.0)
+        cell = self._fail(table, table.lease("b", now=2.0), now=3.0)
+        assert cell.state == CELL_PENDING and cell.attempts == 1
+
+    def test_failure_after_steal_is_the_first(self):
+        table = _table(1, lease_ttl=60.0, retries=1, steal_after=1.0)
+        table.lease("a", now=0.0)
+        stolen = table.lease("b", now=2.0)
+        assert stolen.agent == "b"
+        cell = self._fail(table, stolen, now=3.0)
+        assert cell.state == CELL_PENDING and cell.attempts == 1
+
+    def test_only_reported_failures_exhaust_the_budget(self):
+        table = _table(1, lease_ttl=10.0, retries=1)
+        self._fail(table, table.lease("a", now=0.0), now=1.0)
+        table.lease("a", now=2.0)
+        assert table.expire(now=13.0)
+        cell = self._fail(table, table.lease("b", now=14.0), now=15.0)
+        assert cell.state == CELL_FAILED and cell.attempts == 2
+
+    def test_a_completed_cell_counts_only_the_grant_that_ran(self):
+        table = _table(1, lease_ttl=10.0, retries=0)
+        table.lease("a", now=0.0)
+        table.expire(now=11.0)
+        cell = table.lease("b", now=12.0)
+        assert table.complete("b", 0, cell.epoch, "out", now=13.0)[0]
+        assert table.cells[0].attempts == 1
+
+
 class TestEvents:
     def test_every_transition_is_journaled_in_order(self):
         table = _table(1, lease_ttl=10.0)

@@ -24,7 +24,7 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
-from repro.parallel import MODES
+from repro.parallel import create_mode
 from repro.pits import pit_registry
 from repro.targets import get_target
 
@@ -172,7 +172,7 @@ class TestCampaignIntegration:
             hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
         return run_campaign(
             get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-            MODES["cmfuzz"](), config, abort_hook=hook,
+            create_mode("cmfuzz"), config, abort_hook=hook,
         )
 
     def test_completed_campaign_clears_its_checkpoints(self, tmp_path):

@@ -18,7 +18,7 @@ from repro.harness.executor import (
     specs_for_repeated,
 )
 from repro.api import compare_modes
-from repro.parallel import MODES
+from repro.parallel import get_mode
 from repro.pits import pit_registry
 from repro.targets import get_target
 
@@ -40,7 +40,7 @@ def serial_baseline():
     entry = get_target("dnsmasq")
     return {
         mode: run_repeated(
-            entry.target_cls, entry.state_model, MODES[mode],
+            entry.target_cls, entry.state_model, get_mode(mode).factory,
             repetitions=REPETITIONS, config=_config(),
         )
         for mode in FUZZERS
@@ -151,7 +151,8 @@ def test_experiment_wiring_matches_serial(workers):
     entry = get_target("dnsmasq")
     for fuzzer in FUZZERS:
         serial = run_repeated(entry.target_cls, entry.state_model,
-                              MODES[fuzzer], repetitions=2, config=config)
+                              get_mode(fuzzer).factory, repetitions=2,
+                              config=config)
         for expected, got in zip(serial, pooled.results[fuzzer]):
             assert got.final_coverage == expected.final_coverage
             assert got.coverage.points() == expected.coverage.points()

@@ -24,7 +24,7 @@ from repro.faultplane import FaultPlan, _unit
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.executor import execute_specs, results, specs_for_repeated
 from repro.harness.export import results_to_json
-from repro.parallel import MODES, mode_names
+from repro.parallel import create_mode, mode_names
 from repro.pits import pit_registry
 from repro.targets import get_target
 from repro.telemetry import TelemetryConfig
@@ -63,7 +63,7 @@ def _run(mode_name, config, abort_at=None):
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
         get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-        MODES[mode_name](), config, abort_hook=hook,
+        create_mode(mode_name), config, abort_hook=hook,
     )
 
 

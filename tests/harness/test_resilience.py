@@ -17,7 +17,7 @@ from repro.harness.experiments import (
     retention,
 )
 from repro.harness.supervisor import event_counts
-from repro.parallel import MODES
+from repro.parallel import create_mode, mode_names
 from repro.targets import get_target, target_names
 
 CHAOS_LEVEL = float(os.environ.get("CMFUZZ_CHAOS_LEVEL", "0.3"))
@@ -35,7 +35,7 @@ def _chaos(seed=0, level=CHAOS_LEVEL):
 def _run(target, config, mode="cmfuzz"):
     entry = get_target(target)
     return run_campaign(entry.target_cls, entry.state_model(),
-                        MODES[mode](), config)
+                        create_mode(mode), config)
 
 
 class TestChaosDeterminism:
@@ -47,7 +47,7 @@ class TestChaosDeterminism:
         assert first.bugs.snapshot() == second.bugs.snapshot()
         assert first.iterations == second.iterations
 
-    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("mode", mode_names())
     def test_pooled_workers_match_in_process(self, mode):
         specs = [CampaignSpec(target="dnsmasq", mode=mode, config=_chaos())]
         solo = outcomes(execute_specs(specs, workers=1, cache=False))[0]

@@ -26,7 +26,7 @@ from repro.harness.export import (
     results_to_json,
     validate_export_dict,
 )
-from repro.parallel import MODES, mode_names
+from repro.parallel import create_mode, mode_names
 from repro.pits import pit_registry
 from repro.targets import get_target
 
@@ -42,7 +42,7 @@ def _run(mode_name, config, abort_at=None):
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
         get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-        MODES[mode_name](), config, abort_hook=hook,
+        create_mode(mode_name), config, abort_hook=hook,
     )
 
 
@@ -104,7 +104,7 @@ class TestResumeEqualsUninterrupted:
         the resumed campaign's mode ends with the uninterrupted run's
         report, and the exports are byte-identical."""
         config = _config(str(tmp_path / "ck"), seed=5)
-        reference_mode = MODES["cmfuzz"]()
+        reference_mode = create_mode("cmfuzz")
         reference = results_to_json([run_campaign(
             get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
             reference_mode, config)])
@@ -112,7 +112,7 @@ class TestResumeEqualsUninterrupted:
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 get_target("dnsmasq").target_cls,
-                pit_registry()["dnsmasq"](), MODES["cmfuzz"](), config,
+                pit_registry()["dnsmasq"](), create_mode("cmfuzz"), config,
                 # Past the first periodic checkpoint at 300 sim-seconds.
                 abort_hook=lambda iterations, now: now > 450.0)
 

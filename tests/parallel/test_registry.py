@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro.harness.campaign import CampaignConfig, _CampaignContext
 from repro.parallel import (
-    MODES,
     ModeEntry,
     create_mode,
+    get_mode,
     mode_entries,
     mode_names,
     register_mode,
@@ -59,10 +59,10 @@ class TestCatalogue:
         assert list(mode_names()) == sorted(mode_names())
         assert mode_names() == mode_names()
 
-    def test_view_and_registry_agree(self):
-        assert set(MODES) == set(mode_names())
+    def test_names_and_entries_agree(self):
+        assert tuple(entry.name for entry in mode_entries()) == mode_names()
         for name in mode_names():
-            assert callable(MODES[name])
+            assert callable(get_mode(name).factory)
 
     def test_entries_carry_descriptions(self):
         for entry in mode_entries():
@@ -99,7 +99,7 @@ class TestRegistration:
         register_mode("dummy-zero-edit", factory)
         try:
             assert "dummy-zero-edit" in mode_names()
-            assert MODES["dummy-zero-edit"] is factory
+            assert get_mode("dummy-zero-edit").factory is factory
             assert "dummy-zero-edit" in render_mode_table()
             # The CLI parser is rebuilt per invocation, so a fresh build
             # must offer the new mode.
@@ -132,11 +132,11 @@ class TestRegistration:
 
         register_mode("peach", other, "shadow", replace=True)
         try:
-            assert MODES["peach"] is other
+            assert get_mode("peach").factory is other
         finally:
             register_mode("peach", original.factory, original.description,
                           replace=True)
-        assert MODES["peach"] is original.factory
+        assert get_mode("peach").factory is original.factory
 
     def test_invalid_names_and_factories_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,8 @@ class TestDiscovery:
             monkeypatch.syspath_prepend(tmpdir)
             monkeypatch.setenv(registry_module.DISCOVERY_ENV,
                                "_cmfuzz_plugin_mode")
-            monkeypatch.setattr(registry_module, "_discovered", False)
+            monkeypatch.setattr(registry_module.REGISTRY, "_discovered",
+                                False)
             try:
                 assert "plugin-discovered" in mode_names()
             finally:
@@ -191,7 +192,7 @@ class TestDiscovery:
         """), encoding="utf-8")
         monkeypatch.syspath_prepend(str(tmp_path))
         monkeypatch.setenv(registry_module.DISCOVERY_ENV, "_cmfuzz_slow_mode")
-        monkeypatch.setattr(registry_module, "_discovered", False)
+        monkeypatch.setattr(registry_module.REGISTRY, "_discovered", False)
         outcomes = []
 
         def lookup():

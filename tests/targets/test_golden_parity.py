@@ -21,7 +21,7 @@ from repro.api import run_campaign
 from repro.harness.campaign import CampaignConfig
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
-from repro.parallel import MODES
+from repro.parallel import create_mode
 from repro.telemetry import TelemetryConfig
 from tests.harness.goldens import load_goldens, strip_instances
 
@@ -47,7 +47,7 @@ class TestSeedTargetsMatchPreRegistryExports:
 
     @pytest.mark.parametrize("name", SEED_TARGETS)
     def test_serial_export_is_byte_identical(self, name):
-        result = run_campaign(name, mode=MODES["cmfuzz"](),
+        result = run_campaign(name, mode=create_mode("cmfuzz"),
                               config=_config())
         assert results_to_json([result]) == _GOLDENS[name]
 
@@ -87,11 +87,11 @@ class TestNewTargetsHoldTheHouseInvariants:
     def test_faultplane_storm_export_is_byte_identical(self, name):
         with tempfile.TemporaryDirectory() as tmpdir:
             reference = results_to_json([run_campaign(
-                name, mode=MODES["cmfuzz"](),
+                name, mode=create_mode("cmfuzz"),
                 config=self._engaged_config(tmpdir, level=0.0))])
         with tempfile.TemporaryDirectory() as tmpdir:
             stormed = run_campaign(
-                name, mode=MODES["cmfuzz"](),
+                name, mode=create_mode("cmfuzz"),
                 config=self._engaged_config(tmpdir, level=0.45))
         assert results_to_json([stormed]) == reference
 

@@ -16,13 +16,14 @@ import pickle
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.targets import (
-    TARGETS_VIEW,
     ManifestError,
     TargetEntry,
     TargetManifest,
@@ -33,7 +34,6 @@ from repro.targets import (
     render_target_table,
     target_entries,
     target_names,
-    target_registry,
     unregister_target,
     validate_manifest,
 )
@@ -73,10 +73,11 @@ class TestCatalogue:
         assert list(target_names()) == sorted(target_names())
         assert target_names() == target_names()
 
-    def test_view_and_registry_agree(self):
-        assert set(TARGETS_VIEW) == set(target_names())
+    def test_names_and_entries_agree(self):
+        assert tuple(entry.name for entry in target_entries()) == \
+            target_names()
         for name in target_names():
-            assert TARGETS_VIEW[name] is get_target(name).target_cls
+            assert get_target(name).name == name
 
     def test_entries_carry_validated_manifests(self):
         for entry in target_entries():
@@ -315,7 +316,8 @@ class TestDiscovery:
             monkeypatch.syspath_prepend(tmpdir)
             monkeypatch.setenv(registry_module.DISCOVERY_ENV,
                                "_cmfuzz_plugin_target")
-            monkeypatch.setattr(registry_module, "_discovered", False)
+            monkeypatch.setattr(registry_module.REGISTRY, "_discovered",
+                                False)
             try:
                 assert "plugin_echo" in target_names()
                 target = create_target("plugin_echo")
@@ -325,6 +327,67 @@ class TestDiscovery:
                 unregister_target("plugin_echo")
                 sys.modules.pop("_cmfuzz_plugin_target", None)
 
+    def test_concurrent_lookups_wait_for_a_slow_discovery(self, monkeypatch,
+                                                           tmp_path):
+        """A lookup racing another thread's discovery must not miss the
+        targets that discovery is still importing."""
+        (tmp_path / "_cmfuzz_slow_target.py").write_text(textwrap.dedent("""
+            import time
+
+            from repro.targets.registry import register_target
+
+
+            class SlowTarget:
+                PROTOCOL = "SLOW"
+                PORT = 9998
+
+
+            def state_model():
+                return None
+
+
+            time.sleep(0.5)
+            register_target("slow_discovered", SlowTarget, state_model, {
+                "name": "slow_discovered",
+                "protocol": "SLOW",
+                "description": "A target whose module imports slowly.",
+                "port": 9998,
+                "config_surface": {"format": "key-value file", "keys": 1},
+                "pit": "_cmfuzz_slow_target:state_model",
+            })
+        """), encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv(registry_module.DISCOVERY_ENV,
+                           "_cmfuzz_slow_target")
+        monkeypatch.setattr(registry_module.REGISTRY, "_discovered", False)
+        outcomes = []
+
+        def lookup():
+            try:
+                outcomes.append(get_target("slow_discovered").name)
+            except KeyError as error:
+                outcomes.append(error)
+
+        first = threading.Thread(target=lookup)
+        first.start()
+        racers = [threading.Thread(target=lookup) for _ in range(4)]
+        try:
+            # Race more lookups against the first thread once it is
+            # inside the slow import.
+            deadline = time.monotonic() + 5.0
+            while "_cmfuzz_slow_target" not in sys.modules:
+                assert time.monotonic() < deadline, "discovery never started"
+                time.sleep(0.001)
+            for racer in racers:
+                racer.start()
+        finally:
+            for thread in [first] + racers:
+                if thread.is_alive():
+                    thread.join(timeout=10.0)
+            unregister_target("slow_discovered")
+            sys.modules.pop("_cmfuzz_slow_target", None)
+        assert outcomes == ["slow_discovered"] * 5
+
     def test_directory_scan_covers_every_builtin(self):
         subdirs = registry_module._package_directory_targets()
         for entry in target_entries():
@@ -333,19 +396,6 @@ class TestDiscovery:
                 directory = os.path.basename(os.path.dirname(
                     os.path.abspath(package.__file__)))
                 assert directory in subdirs
-
-
-class TestDeprecatedView:
-    def test_target_registry_warns_and_returns_live_view(self):
-        with pytest.warns(DeprecationWarning, match="target_entries"):
-            view = target_registry()
-        assert view is TARGETS_VIEW
-        assert set(view) == set(target_names())
-        assert view["dnsmasq"] is get_target("dnsmasq").target_cls
-
-    def test_view_is_read_only(self):
-        with pytest.raises(TypeError):
-            TARGETS_VIEW["dnsmasq"] = object  # type: ignore[index]
 
 
 def _campaign_target_choices(parser):

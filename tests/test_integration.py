@@ -6,7 +6,7 @@ import pytest
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.simclock import CostModel
 from repro.harness.stats import speedup
-from repro.parallel import MODES
+from repro.parallel import create_mode
 from repro.targets import get_target
 from repro.targets.faults import TABLE_II_BUGS, BugLedger
 
@@ -31,7 +31,7 @@ def _config(hours=6.0, seed=11, instances=4):
 def _run(target_name, mode_name, **kwargs):
     entry = get_target(target_name)
     return run_campaign(
-        entry.target_cls, entry.state_model(), MODES[mode_name](), _config(**kwargs)
+        entry.target_cls, entry.state_model(), create_mode(mode_name), _config(**kwargs)
     )
 
 

@@ -46,8 +46,7 @@ MODEL_BUILD_CONFIG_FIELDS = [
 ]
 
 #: The redesigned ``repro.targets`` plugin surface, frozen. Additions
-#: are conscious API growth; removals are breaking changes (the
-#: deprecated ``target_registry`` stays until its cycle completes).
+#: are conscious API growth; removals are breaking changes.
 TARGETS_MODULE_ALL = [
     "BugLedger",
     "CrashReport",
@@ -58,7 +57,6 @@ TARGETS_MODULE_ALL = [
     "ManifestError",
     "ProtocolTarget",
     "SanitizerFault",
-    "TARGETS_VIEW",
     "TargetEntry",
     "TargetFactory",
     "TargetManifest",
@@ -70,7 +68,6 @@ TARGETS_MODULE_ALL = [
     "startup_probe_for",
     "target_entries",
     "target_names",
-    "target_registry",
     "unregister_target",
     "validate_manifest",
 ]
@@ -184,12 +181,11 @@ class TestTopLevelExports:
             assert hasattr(repro.fuzzing, name), name
 
     def test_modes_registry_complete(self):
-        from repro.parallel import MODES, mode_names
+        from repro.parallel import mode_names
 
-        # The view and the registry agree, and every built-in registers.
-        assert set(MODES) == set(mode_names())
-        assert set(MODES) == {"cmfuzz", "peach", "spfuzz", "hybrid",
-                              "plateau", "statemap"}
+        # Every built-in registers.
+        assert set(mode_names()) == {"cmfuzz", "peach", "spfuzz",
+                                     "hybrid", "plateau", "statemap"}
 
     def test_target_and_pit_registries_aligned(self):
         from repro.pits import pit_registry
@@ -203,18 +199,6 @@ class TestTopLevelExports:
         assert sorted(repro.targets.__all__) == TARGETS_MODULE_ALL
         for name in repro.targets.__all__:
             assert hasattr(repro.targets, name), name
-
-    def test_target_registry_deprecation_names_the_replacement(self):
-        import warnings
-
-        import repro.targets
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            view = repro.targets.target_registry()
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and "target_entries" in str(w.message) for w in caught)
-        assert view is repro.targets.TARGETS_VIEW
 
 
 class TestReadmeWorkflow:
