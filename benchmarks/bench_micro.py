@@ -41,13 +41,19 @@ def test_micro_startup_probe(benchmark):
 
 
 def test_micro_pair_quantification(benchmark):
-    """Quantifying one entity pair (all value combinations)."""
-    quantifier = RelationQuantifier(startup_probe_for(MosquittoTarget),
-                                    max_combinations=4)
-    a = ConfigEntity("persistence", ValueType.BOOLEAN, Flag.MUTABLE, (True, False))
-    b = ConfigEntity("autosave_interval", ValueType.NUMBER, Flag.MUTABLE, (1800, 0))
-    weight = benchmark(lambda: quantifier.pair_weight(a, b))
-    assert weight >= 0
+    """Quantifying a two-entity model (one pair, all value combinations)."""
+    model = ConfigurationModel([
+        ConfigEntity("persistence", ValueType.BOOLEAN, Flag.MUTABLE, (True, False)),
+        ConfigEntity("autosave_interval", ValueType.NUMBER, Flag.MUTABLE, (1800, 0)),
+    ])
+
+    def quantify():
+        quantifier = RelationQuantifier(startup_probe_for(MosquittoTarget),
+                                        max_combinations=4)
+        return quantifier.quantify(model)[1]
+
+    report = benchmark(quantify)
+    assert report.launches >= 4
 
 
 def test_micro_allocation(benchmark):

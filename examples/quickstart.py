@@ -28,7 +28,7 @@ def main():
 
     # 2. Scheduling: quantify pairwise relations via startup coverage.
     #    workers=2 fans the probes across processes; results are
-    #    bit-identical to a serial run.
+    #    bit-identical to probing in-process.
     relation_model, report = quantify_relations(
         "mosquitto", model, ModelBuildConfig(max_combinations=8, workers=2)
     )

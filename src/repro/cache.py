@@ -124,22 +124,6 @@ def atomic_pickle(path: str, payload: Any) -> None:
     os.replace(temp, path)
 
 
-def load_pickle(path: str) -> Optional[Any]:
-    """Load a pickled payload, mapping every corruption mode to ``None``.
-
-    Low-level helper with no telemetry and no quarantine; the caches go
-    through :class:`FaultTolerantStore`, which additionally sidelines
-    corrupt entries instead of silently treating them as misses.
-    """
-    try:
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
-    except OSError:
-        return None
-    except UNPICKLE_ERRORS:
-        return None
-
-
 def _read_bytes(path: str) -> Optional[bytes]:
     """Read a file, treating absence (a plain cache miss) as ``None``.
 

@@ -1,4 +1,4 @@
-"""Startup-probe execution: serial, pooled, and content-addressed-cached.
+"""Startup-probe execution: in-process, pooled, and content-addressed-cached.
 
 Phase 1 of the model-build pipeline (relation quantification, §III-B1)
 is dominated by startup probes: every pair of mutable entities launches
@@ -181,8 +181,7 @@ class LocalProbeExecutor:
         fault_log: The list the probe's ``on_fault`` callback appends
             to; when given, faults are drained into outcomes (so they
             can be cached and replayed). When omitted, whatever the
-            probe does with faults happens during execution, matching
-            the historical serial behaviour.
+            probe does with faults happens during execution.
         startup_latency: Simulated per-probe startup cost (benchmarks).
     """
 
@@ -209,9 +208,12 @@ class PooledProbeExecutor:
 
     Each chunk becomes one :class:`~repro.harness.pool.Task` whose
     deadline scales with the chunk size (``timeout`` is per probe).
-    A chunk whose every retry failed is re-run inline so the underlying
+    A chunk whose every retry raised is re-run inline so the underlying
     exception surfaces with its real traceback instead of a flattened
-    :class:`CellFailure` string.
+    :class:`CellFailure` string. A chunk that last timed out or killed
+    its worker is not: re-running it inline would hang or kill the
+    caller, so :class:`~repro.harness.pool.ExecutorError` carries its
+    failure record instead.
 
     Args:
         target: Target registry name.
@@ -241,7 +243,7 @@ class PooledProbeExecutor:
         self.stats: Dict[str, int] = {"executed": 0, "cache_hits": 0}
 
     def run(self, assignments: Sequence[Dict[str, Any]]) -> List[ProbeOutcome]:
-        from repro.harness.pool import Task, execute_tasks
+        from repro.harness.pool import ExecutorError, Task, execute_tasks
 
         if not assignments:
             return []
@@ -264,13 +266,17 @@ class PooledProbeExecutor:
             telemetry=self.telemetry, metric_prefix="modelbuild.pool",
             injector=self.injector,
         )
+        lost = [result for result in results
+                if not result.ok and result.failure.kind != "exception"]
+        if lost:
+            raise ExecutorError(lost)
         outcomes: List[ProbeOutcome] = []
         for result in results:
             if result.ok:
                 outcomes.extend(result.outcome)
             else:
-                # Deterministic failure (or exhausted retries): reproduce
-                # inline so the caller sees the true exception.
+                # The chunk raised on every attempt: reproduce it inline
+                # so the caller sees the true exception.
                 outcomes.extend(run_probe_batch(result.spec))
         self.stats["executed"] += len(outcomes)
         return outcomes
@@ -372,12 +378,12 @@ def build_probe_executor(
     probe cache, and degrades gracefully: inside a daemonic pool worker
     (a campaign cell already running under :func:`execute_specs`) child
     processes are forbidden, so the pooled path silently falls back to
-    serial rather than crashing the campaign.
+    in-process probing rather than crashing the campaign.
 
     Args:
         target_id: Target registry name; also the cache-key namespace.
-        probe: Probe callable for the serial path; when omitted it is
-            built from the registry (faults collected into outcomes).
+        probe: Probe callable for in-process probing; when omitted it
+            is built from the registry (faults collected into outcomes).
         workers: Probe worker processes; ``1`` stays in-process.
         cache: Enable the on-disk probe cache.
         cache_dir: Cache root override (default ``.cmfuzz-cache/``).

@@ -15,12 +15,16 @@ out and cached without perturbing results:
    order and dedupe identical assignments (first-seen order), then derive
    the baseline/single probes the synergy computation will demand.
 2. **Execute** — run the unique assignments through a probe executor
-   (:mod:`repro.core.probes`): serial, pooled across worker processes, or
-   backed by the content-addressed on-disk cache.
+   (:mod:`repro.core.probes`): in-process, pooled across worker
+   processes, or backed by the content-addressed on-disk cache.
 3. **Replay** — re-walk the exact sequential control flow, sourcing every
    logical probe from the executed outcomes. The report's probe sequence,
    launch counts, best values and raw weights are bit-identical whether
-   the probes ran serially, across N workers, or entirely from cache.
+   the probes ran in-process, across N workers, or entirely from cache.
+
+This is the only quantification path: a bare probe handed to
+:class:`RelationQuantifier` runs through a
+:class:`~repro.core.probes.LocalProbeExecutor`.
 
 :meth:`RelationQuantifier.requantify` builds on the same machinery for
 incremental rebuilds: pairs whose entities are unchanged (by fingerprint)
@@ -38,16 +42,17 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.entity import ConfigEntity
 from repro.core.model import ConfigurationModel, RelationAwareModel, normalize_weights
 from repro.core.probes import (
+    LocalProbeExecutor,
     ProbeOutcome,
     assignment_items,
     deserialize_fault,
 )
-from repro.errors import StartupError
 from repro.telemetry import NULL_TELEMETRY
 
 #: A startup probe: maps a partial configuration assignment to the branch
 #: sites covered during target startup, as an iterable of site strings
-#: (a coverage map or a plain set). It must raise
+#: (:func:`~repro.targets.base.startup_probe_for` returns a
+#: ``frozenset``). It must raise
 #: :class:`~repro.errors.StartupError` (or return no sites) when the
 #: assignment prevents the target from starting.
 StartupProbe = Callable[[Dict[str, Any]], Iterable[str]]
@@ -146,8 +151,10 @@ class RelationQuantifier:
     """Builds a relation-aware model from a configuration model and a probe.
 
     Args:
-        probe: The startup probe (see :data:`StartupProbe`). Used directly
-            by the serial path; ignored when ``executor`` is given.
+        probe: The startup probe (see :data:`StartupProbe`), run
+            in-process through a
+            :class:`~repro.core.probes.LocalProbeExecutor`; ignored when
+            ``executor`` is given.
         max_combinations: Safety cap on value combinations tried per pair;
             values beyond the cap are skipped deterministically (the
             cartesian product is truncated, preserving early values which
@@ -165,19 +172,17 @@ class RelationQuantifier:
             coverage) contribute nothing, so conflict-only pairs keep no
             edge, as in the paper.
         executor: Optional probe executor from :mod:`repro.core.probes`
-            (local, pooled or cached). When set, quantification runs as
-            plan → execute → replay with results bit-identical to the
-            serial path. The executor's probe must collect sanitizer
-            faults into its outcomes (see
-            :func:`repro.core.probes.build_probe_executor`) rather than
-            firing callbacks during execution, so replay controls fault
-            delivery.
+            (local, pooled or cached); the report is bit-identical
+            whichever runs the probes. To replay sanitizer faults through
+            ``on_fault``, the executor's probe must collect them into its
+            outcomes (see :func:`repro.core.probes.build_probe_executor`)
+            rather than firing callbacks during execution.
         on_fault: Callback invoked with each rebuilt
             :class:`~repro.targets.faults.SanitizerFault` during replay,
             once per logical probe occurrence — keeping bug ledgers
             identical whether outcomes were freshly executed or served
-            from the cache. Serial-path probes fire their own callbacks,
-            so this only applies with ``executor``.
+            from the cache. A bare ``probe`` fires its own callbacks
+            while it runs instead.
         telemetry: Optional :class:`repro.telemetry.Telemetry`; records
             ``modelbuild.*`` counters and per-phase spans.
     """
@@ -194,9 +199,10 @@ class RelationQuantifier:
     ):
         if aggregate not in ("max", "mean"):
             raise ValueError("aggregate must be 'max' or 'mean', got %r" % aggregate)
-        if probe is None and executor is None:
-            raise ValueError("need a startup probe or a probe executor")
-        self.probe = probe
+        if executor is None:
+            if probe is None:
+                raise ValueError("need a startup probe or a probe executor")
+            executor = LocalProbeExecutor(probe)
         self.max_combinations = max_combinations
         self.aggregate = aggregate
         self.synergy = synergy
@@ -216,8 +222,8 @@ class RelationQuantifier:
     def _share_sites(self, sites: frozenset) -> frozenset:
         """The canonical object equal to ``sites`` (built on first sight).
 
-        Each probe builds a fresh target, so its site names are fresh
-        strings; pooled and cached outcomes arrive freshly unpickled.
+        Pooled and cached outcomes arrive freshly unpickled, and a
+        caller's own probe may build fresh strings on every call.
         Without this, the report holds one copy of every name per probe.
         """
         shared = self._shared.get(sites)
@@ -226,35 +232,6 @@ class RelationQuantifier:
                                for site in sites)
             self._shared[shared] = shared
         return shared
-
-    # -- serial probing ----------------------------------------------------
-
-    def probe_assignment(self, assignment: Dict[str, Any]) -> ProbeRecord:
-        """Launch the target once with ``assignment``; failures yield 0."""
-        try:
-            coverage = self.probe(dict(assignment))
-        except StartupError:
-            return ProbeRecord(dict(assignment), 0, failed=True)
-        sites = self._share_sites(frozenset(coverage))
-        return ProbeRecord(dict(assignment), len(sites), sites=sites)
-
-    def _baseline_sites(self, report: Optional[QuantificationReport]) -> frozenset:
-        if self._baseline is None:
-            record = self.probe_assignment({})
-            if report is not None:
-                report.note_probe(record)
-            self._baseline = record.sites
-        return self._baseline
-
-    def _single_sites(self, name: str, value: Any,
-                      report: Optional[QuantificationReport]) -> frozenset:
-        key = (name, value)
-        if key not in self._single_cache:
-            record = self.probe_assignment({name: value})
-            if report is not None:
-                report.note_probe(record)
-            self._single_cache[key] = record.sites
-        return self._single_cache[key]
 
     def _pair_combinations(
         self, entity_a: ConfigEntity, entity_b: ConfigEntity
@@ -281,37 +258,6 @@ class RelationQuantifier:
         if self.aggregate == "max":
             return max(observed)
         return sum(observed) / len(observed)
-
-    def pair_weight(
-        self, entity_a: ConfigEntity, entity_b: ConfigEntity, report: Optional[QuantificationReport] = None
-    ) -> float:
-        """Raw (un-normalised) weight for one entity pair.
-
-        Explores the cartesian product of the two entities' typical values
-        and aggregates the per-combination startup coverage (interaction
-        excess when ``synergy`` is enabled).
-        """
-        observed: List[float] = []
-        for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-            assignment = self._combo_assignment(entity_a, entity_b, value_a, value_b)
-            record = self.probe_assignment(assignment)
-            if report is not None:
-                report.note_probe(record)
-            if record.failed or record.branches == 0:
-                # Conflict: contributes nothing toward a relation.
-                observed.append(0.0)
-                continue
-            if not self.synergy:
-                observed.append(float(record.branches))
-                continue
-            baseline = self._baseline_sites(report)
-            alone_a = (self._single_sites(entity_a.name, value_a, report)
-                       if value_a is not None else baseline)
-            alone_b = (self._single_sites(entity_b.name, value_b, report)
-                       if value_b is not None else baseline)
-            unlocked = record.sites - alone_a - alone_b - baseline
-            observed.append(float(len(unlocked)))
-        return self._aggregate(observed)
 
     # -- plan / execute / replay -------------------------------------------
 
@@ -429,22 +375,11 @@ class RelationQuantifier:
     ) -> Dict[Tuple[str, str], float]:
         """Probe ``pairs`` and return their raw weights.
 
-        Serial path (no executor): probes launch inline, in sequence.
-        Executor path: plan → execute → replay, producing a bit-identical
-        report regardless of worker count or cache warmth.
+        Plan → execute → replay, producing a bit-identical report
+        regardless of worker count or cache warmth.
         """
         raw: Dict[Tuple[str, str], float] = {}
         logical_before = len(report.probes)
-        if self.executor is None:
-            for entity_a, entity_b in pairs:
-                weight = self.pair_weight(entity_a, entity_b, report)
-                if weight > 0:
-                    raw[(entity_a.name, entity_b.name)] = weight
-            self._note_stats(len(report.probes) - logical_before,
-                             executed=len(report.probes) - logical_before,
-                             cache_hits=0)
-            return raw
-
         stats_before = dict(self.executor.stats)
         with self.telemetry.span("modelbuild.plan"):
             combo_keys = self._plan_unique(pairs)

@@ -154,6 +154,57 @@ class CoverageCollector:
 InternedCoverageCollector = CoverageCollector
 
 
+class ProbeCollector:
+    """A set-only collector for a stream of startup probes.
+
+    Relation quantification needs only the *set* of sites each startup
+    covers, and in a startup every hit is a first hit, so the
+    counters and interned ids of :class:`CoverageCollector` are pure
+    cost there. One probe collector serves every probe of a stream:
+
+    - ``_names`` memoises raw site -> prefixed site, and ``_arms`` the
+      two prefixed arms of :meth:`branch`, so every probe shares one
+      string per site and :meth:`hit`/:meth:`branch` are one
+      ``set.add`` each;
+    - ``_sets`` maps each site set to one shared ``frozenset``, which
+      :meth:`end_run` returns, so equal startups are one object.
+    """
+
+    def __init__(self, component: str = ""):
+        self.component = component
+        self.run = set()
+        self._names = {}
+        self._arms = {}
+        self._sets = {}
+
+    def _name(self, site: str) -> str:
+        name = self.component + ":" + site if self.component else site
+        self._names[site] = name
+        return name
+
+    def hit(self, site: str) -> None:
+        try:
+            self.run.add(self._names[site])
+        except KeyError:
+            self.run.add(self._name(site))
+
+    def branch(self, site: str, taken: bool) -> bool:
+        try:
+            arms = self._arms[site]
+        except KeyError:
+            arms = self._arms[site] = (self._name(site + "/T"),
+                                       self._name(site + "/F"))
+        self.run.add(arms[0] if taken else arms[1])
+        return taken
+
+    def start_run(self) -> None:
+        self.run = set()
+
+    def end_run(self) -> frozenset:
+        sites = frozenset(self.run)
+        return self._sets.setdefault(sites, sites)
+
+
 class NullCollector(CoverageCollector):
     """A collector that discards everything (uninstrumented runs)."""
 

@@ -89,11 +89,6 @@ CACHE_VERSION = 6
 # Specs and outcomes
 # ---------------------------------------------------------------------------
 
-#: Canonicalisation now lives in :mod:`repro.cache` (the checkpoint
-#: campaign keys share it); the old private name keeps working.
-_canonical = canonical_payload
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """A picklable description of one experiment cell.
@@ -115,9 +110,9 @@ class CampaignSpec:
             "version": CACHE_VERSION,
             "target": self.target,
             "mode": self.mode,
-            "mode_kwargs": _canonical(self.mode_kwargs),
-            "config": _canonical(self.config),
-            "runner": None if runner in (None, run_spec) else _canonical(runner),
+            "mode_kwargs": canonical_payload(self.mode_kwargs),
+            "config": canonical_payload(self.config),
+            "runner": None if runner in (None, run_spec) else canonical_payload(runner),
         }
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -25,6 +25,7 @@ from repro.core.allocation import AllocationResult, allocate
 from repro.core.extraction import extract_entities
 from repro.core.model import ConfigurationModel
 from repro.core.mutation import ConfigMutator, GuidedConfigMutator, SaturationDetector
+from repro.core.probes import build_probe_executor
 from repro.core.reassembly import ConfigBundle, reassemble_group
 from repro.core.relation import RelationQuantifier
 from repro.errors import StartupError, TargetHang
@@ -32,7 +33,6 @@ from repro.fuzzing.engine import FuzzEngine
 from repro.parallel.base import ParallelMode
 from repro.parallel.instance import FuzzingInstance
 from repro.parallel.registry import register_mode
-from repro.targets.base import startup_probe_for
 from repro.targets.faults import SanitizerFault
 from repro.telemetry import NULL_TELEMETRY
 
@@ -69,9 +69,6 @@ class CmFuzzMode(ParallelMode):
         allocator=allocate,
         adaptive_mutation: bool = True,
         guided_mutation: bool = False,
-        probe_workers: Optional[int] = None,
-        probe_cache: Optional[bool] = None,
-        probe_cache_dir: Optional[str] = None,
     ):
         self.saturation_window = saturation_window
         self.max_combinations = max_combinations
@@ -79,11 +76,6 @@ class CmFuzzMode(ParallelMode):
         self.allocator = allocator
         self.adaptive_mutation = adaptive_mutation
         self.guided_mutation = guided_mutation
-        #: Probe scheduling: None inherits the campaign config's
-        #: ``probe_workers`` / ``probe_cache`` (via the context).
-        self.probe_workers = probe_workers
-        self.probe_cache = probe_cache
-        self.probe_cache_dir = probe_cache_dir
         self._coverage_at_mutation: Dict[int, int] = {}
         self.model: Optional[ConfigurationModel] = None
         self.relation_model = None
@@ -107,40 +99,23 @@ class CmFuzzMode(ParallelMode):
         self.model = ConfigurationModel(entities)
 
         # A configuration combination that crashes the target during
-        # startup is both a finding and zero startup coverage. With
-        # probe workers or the probe cache enabled, execution goes
-        # through the probe-executor stack; faults travel inside the
-        # outcomes and replay through on_fault, so the bug ledger is
-        # identical either way (and on warm-cache rebuilds).
-        workers = (self.probe_workers if self.probe_workers is not None
-                   else getattr(ctx, "probe_workers", 1))
-        cache = (self.probe_cache if self.probe_cache is not None
-                 else getattr(ctx, "probe_cache", False))
-        cache_dir = (self.probe_cache_dir if self.probe_cache_dir is not None
-                     else getattr(ctx, "probe_cache_dir", None))
-
+        # startup is both a finding and zero startup coverage. Faults
+        # travel inside the probe outcomes and replay through on_fault,
+        # so the bug ledger is the same whether the probes ran
+        # in-process, in the campaign's probe workers or from the probe
+        # cache.
         def on_fault(fault):
             ctx.record_startup_fault(fault, instance=-1)
 
-        if workers > 1 or cache:
-            from repro.core.probes import build_probe_executor
-
-            executor = build_probe_executor(
-                target_cls.NAME, workers=workers, cache=cache,
-                cache_dir=cache_dir, telemetry=telemetry,
-                injector=getattr(ctx, "io_injector", None),
-            )
-            quantifier = RelationQuantifier(
-                max_combinations=self.max_combinations,
-                aggregate=self.aggregate, executor=executor,
-                on_fault=on_fault, telemetry=telemetry,
-            )
-        else:
-            probe = startup_probe_for(target_cls, on_fault=on_fault)
-            quantifier = RelationQuantifier(
-                probe, max_combinations=self.max_combinations,
-                aggregate=self.aggregate, telemetry=telemetry,
-            )
+        executor = build_probe_executor(
+            target_cls.NAME, workers=ctx.probe_workers, cache=ctx.probe_cache,
+            cache_dir=ctx.probe_cache_dir, telemetry=telemetry,
+            injector=ctx.io_injector,
+        )
+        quantifier = RelationQuantifier(
+            max_combinations=self.max_combinations, aggregate=self.aggregate,
+            executor=executor, on_fault=on_fault, telemetry=telemetry,
+        )
         with telemetry.span("cmfuzz.quantify", target=target_cls.NAME):
             self.relation_model, self.quantification_report = (
                 quantifier.quantify(self.model)

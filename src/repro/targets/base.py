@@ -18,10 +18,10 @@ harness:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.extraction import ConfigSources
-from repro.coverage.collector import CoverageCollector
+from repro.coverage.collector import CoverageCollector, ProbeCollector
 from repro.errors import StartupError, TargetError
 
 
@@ -113,23 +113,29 @@ class ProtocolTarget:
         return bool(value)
 
 
-#: A zero-argument callable producing a fresh target instance.
-TargetFactory = Callable[[], ProtocolTarget]
+#: Produces a fresh target instance recording into the coverage
+#: collector it is called with; it names the target's coverage
+#: component in ``NAME``. A :class:`ProtocolTarget` subclass is one.
+TargetFactory = Callable[[Any], ProtocolTarget]
 
 
 def startup_probe_for(
     factory: TargetFactory, on_fault: Optional[Callable] = None
-) -> Callable[[Dict[str, Any]], Iterable[str]]:
+) -> Callable[[Dict[str, Any]], frozenset]:
     """Build the startup probe the relation quantifier consumes.
 
     Each probe call starts a *fresh* target instance with the given
-    partial assignment and returns the startup coverage (an iterable of
-    site strings, see :data:`repro.core.relation.StartupProbe`); startup
-    failures propagate as :class:`StartupError` (the quantifier maps
-    them to zero coverage).
+    partial assignment and returns the startup coverage as a
+    ``frozenset`` of site strings (see
+    :data:`repro.core.relation.StartupProbe`); startup failures
+    propagate as :class:`StartupError` (the quantifier maps them to zero
+    coverage). Every target of the probe stream records into one
+    :class:`~repro.coverage.collector.ProbeCollector`, so equal startups
+    return one shared set of shared site strings.
 
     Args:
-        factory: Produces fresh target instances.
+        factory: Produces fresh target instances (see
+            :data:`TargetFactory`).
         on_fault: Optional callback for sanitizer faults raised *during
             startup* — a configuration combination that crashes the
             target is both a finding and a failed launch. When given, the
@@ -137,9 +143,11 @@ def startup_probe_for(
             startup failure; when omitted, the fault propagates.
     """
 
-    def probe(assignment: Dict[str, Any]) -> Iterable[str]:
-        target = factory()
-        target.cov.start_run()
+    collector = ProbeCollector(factory.NAME)
+
+    def probe(assignment: Dict[str, Any]) -> frozenset:
+        target = factory(collector)
+        collector.start_run()
         try:
             target.startup(assignment)
         except StartupError:
@@ -151,6 +159,6 @@ def startup_probe_for(
                 on_fault(fault)
                 raise StartupError(str(fault), tuple(assignment))
             raise
-        return target.cov.end_run()
+        return collector.end_run()
 
     return probe

@@ -1,8 +1,14 @@
 """Tests for the probe executor stack: caching, pooling, invalidation."""
 
+import os
+import time
+
 import pytest
 
+from repro.api import ModelBuildConfig, quantify_relations
 from repro.core import probes as probes_mod
+from repro.core.entity import ConfigEntity, Flag, ValueType
+from repro.core.model import ConfigurationModel
 from repro.core.probes import (
     CachedProbeExecutor,
     LocalProbeExecutor,
@@ -15,6 +21,9 @@ from repro.core.probes import (
     run_probe_batch,
 )
 from repro.errors import CacheUnavailableError, StartupError
+from repro.harness.pool import ExecutorError
+from repro.targets.base import ProtocolTarget
+from repro.targets.registry import register_target, unregister_target
 
 
 def _counting_probe(log):
@@ -175,3 +184,66 @@ class TestBuildProbeExecutor:
         monkeypatch.setattr(pool, "in_daemon_worker", lambda: True)
         executor = build_probe_executor("dnsmasq", workers=4)
         assert isinstance(executor, LocalProbeExecutor)
+
+
+class _StuckTarget(ProtocolTarget):
+    """Starts normally unless ``stuck`` is on: then startup hangs
+    (``mode`` ``"hang"``) or exits its process (``mode`` ``"exit"``)."""
+
+    NAME = "stuck"
+    PROTOCOL = "STUCK"
+    PORT = 7001
+    mode = "hang"
+
+    @classmethod
+    def default_config(cls):
+        return {"stuck": False, "other": False}
+
+    def _startup_impl(self):
+        self.cov.hit("startup")
+        if self.enabled("stuck"):
+            if self.mode == "exit":
+                os._exit(3)
+            time.sleep(60)
+
+
+def _stuck_state_model():
+    raise AssertionError("model build never needs the state model")
+
+
+class TestPooledProbeFailures:
+    """A chunk that timed out or killed its worker fails the model build
+    instead of re-running inline: inline, it would hang or kill the
+    caller, whatever ``probe_timeout`` says."""
+
+    @pytest.fixture(autouse=True)
+    def stuck_target(self, monkeypatch):
+        register_target("stuck", _StuckTarget, _stuck_state_model, {
+            "name": "stuck", "protocol": "STUCK",
+            "description": "A target whose startup hangs for one value.",
+            "port": 7001,
+            "config_surface": {"format": "key-value file", "keys": 2},
+            "pit": "tests.core.test_probes:_stuck_state_model",
+        })
+        yield monkeypatch
+        unregister_target("stuck")
+
+    def _quantify(self):
+        model = ConfigurationModel([
+            ConfigEntity(name, ValueType.BOOLEAN, Flag.MUTABLE, (True, False))
+            for name in ("stuck", "other")
+        ])
+        return quantify_relations(
+            "stuck", model,
+            ModelBuildConfig(workers=2, probe_timeout=0.5, retries=0))
+
+    @pytest.mark.parametrize("mode,kind", [("hang", "timeout"),
+                                           ("exit", "worker-died")])
+    def test_lost_chunk_raises_within_the_budget(self, stuck_target, mode,
+                                                 kind):
+        stuck_target.setattr(_StuckTarget, "mode", mode)
+        started = time.monotonic()
+        with pytest.raises(ExecutorError) as excinfo:
+            self._quantify()
+        assert time.monotonic() - started < 10
+        assert [cell.failure.kind for cell in excinfo.value.failed] == [kind]

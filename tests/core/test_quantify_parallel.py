@@ -1,8 +1,10 @@
 """Golden parity of the parallel/cached quantification pipeline.
 
-The acceptance bar for the executor-backed pipeline is *bit-identical*
-output: serial, workers=1, workers=4, and warm-cache rebuilds must all
-produce the same relation weights, best values, and probe accounting.
+The acceptance bar for the plan -> execute -> replay pipeline is
+*bit-identical* output: workers=1, workers=4, and warm-cache rebuilds
+must all reproduce the committed report golden
+(``tests/goldens/reports.json``) and the same relation weights, best
+values, and probe accounting.
 The incremental path (``requantify``) must equal a full quantify of the
 edited model while only re-probing pairs that contain a changed entity.
 """
@@ -23,6 +25,7 @@ from repro.core.relation import ProbeRecord, RelationQuantifier
 from repro.targets import get_target
 from repro.targets.base import startup_probe_for
 from repro.telemetry import Telemetry, TelemetryConfig
+from tests.core.report_goldens import load_report_goldens, quantify_summary
 
 MAX_COMBINATIONS = 4
 
@@ -47,17 +50,11 @@ def _quantify_dnsmasq(**executor_kwargs):
 
 
 class TestGoldenParity:
-    def test_serial_vs_workers(self):
-        faults = []
-        probe = startup_probe_for(get_target("dnsmasq").target_cls,
-                                  on_fault=faults.append)
-        serial_q = RelationQuantifier(probe, max_combinations=MAX_COMBINATIONS)
-        serial = _snapshot(serial_q.quantify(extract_model("dnsmasq")))
-
-        one, _, _ = _quantify_dnsmasq(workers=1)
-        four, _, _ = _quantify_dnsmasq(workers=4)
-        assert one == serial
-        assert four == serial
+    def test_four_workers_match_report_golden(self):
+        # workers=1 and workers=2 are covered for every target by
+        # tests/core/test_report_goldens.py.
+        golden = load_report_goldens()["dnsmasq"]
+        assert quantify_summary("dnsmasq", workers=4) == golden
 
     def test_warm_cache_is_identical_and_probe_free(self, tmp_path):
         cold, cold_executor, _ = _quantify_dnsmasq(

@@ -38,51 +38,71 @@ def _synthetic_probe(assignment):
     return coverage
 
 
+def _quantify_pair(quantifier, name_a, name_b):
+    """Quantify a two-entity model; return its raw weight and report."""
+    model = ConfigurationModel([_bool_entity(name_a), _bool_entity(name_b)])
+    _, report = quantifier.quantify(model)
+    return report.raw_weights.get((name_a, name_b), 0.0), report
+
+
+def _record(report, assignment):
+    return next(record for record in report.probes
+                if record.assignment == assignment)
+
+
 class TestProbeAssignment:
     def test_success_records_sites(self):
         quantifier = RelationQuantifier(_synthetic_probe)
-        record = quantifier.probe_assignment({"a": True})
+        _, report = _quantify_pair(quantifier, "a", "b")
+        record = _record(report, {"a": True, "b": False})
         assert record.branches == 4
         assert "a1" in record.sites
         assert not record.failed
 
     def test_failure_records_zero(self):
         quantifier = RelationQuantifier(_synthetic_probe)
-        record = quantifier.probe_assignment({"a": True, "c": True})
+        _, report = _quantify_pair(quantifier, "a", "c")
+        record = _record(report, {"a": True, "c": True})
         assert record.failed
         assert record.branches == 0
 
     def test_plain_int_probe_supported(self):
         quantifier = RelationQuantifier(lambda asg: CoverageMap(["x"]))
-        assert quantifier.probe_assignment({}).branches == 1
+        _, report = _quantify_pair(quantifier, "a", "b")
+        assert report.launches > 0
+        assert all(record.branches == 1 for record in report.probes)
 
 
 class TestPairWeight:
     def test_synergy_detected(self):
         quantifier = RelationQuantifier(_synthetic_probe)
-        weight = quantifier.pair_weight(_bool_entity("a"), _bool_entity("b"))
+        weight, _ = _quantify_pair(quantifier, "a", "b")
         assert weight == 1.0  # the "ab" site
 
     def test_independent_pair_has_zero_weight(self):
         quantifier = RelationQuantifier(_synthetic_probe)
-        weight = quantifier.pair_weight(_bool_entity("b"), _bool_entity("c"))
+        weight, _ = _quantify_pair(quantifier, "b", "c")
         assert weight == 0.0
 
     def test_conflicting_pair_has_zero_weight(self):
         quantifier = RelationQuantifier(_synthetic_probe)
-        weight = quantifier.pair_weight(_bool_entity("a"), _bool_entity("c"))
+        weight, report = _quantify_pair(quantifier, "a", "c")
         assert weight == 0.0
+        assert report.failures == 1
 
     def test_non_synergy_mode_uses_absolute_coverage(self):
         quantifier = RelationQuantifier(_synthetic_probe, synergy=False)
-        weight = quantifier.pair_weight(_bool_entity("a"), _bool_entity("b"))
+        weight, _ = _quantify_pair(quantifier, "a", "b")
         assert weight == 6.0  # base1 base2 a1 a2 b1 ab
 
     def test_mean_aggregate_below_max(self):
         max_q = RelationQuantifier(_synthetic_probe, synergy=False, aggregate="max")
         mean_q = RelationQuantifier(_synthetic_probe, synergy=False, aggregate="mean")
-        a, b = _bool_entity("a"), _bool_entity("b")
-        assert mean_q.pair_weight(a, b) < max_q.pair_weight(a, b)
+        max_weight, _ = _quantify_pair(max_q, "a", "b")
+        mean_weight, _ = _quantify_pair(mean_q, "a", "b")
+        assert mean_weight < max_weight
+        # (T,T)=6, (T,F)=4, (F,T)=3, (F,F)=2 sites.
+        assert mean_weight == 15.0 / 4
 
     def test_combination_cap_respected(self):
         calls = []
@@ -92,12 +112,17 @@ class TestPairWeight:
             return CoverageMap(["s"])
 
         quantifier = RelationQuantifier(probe, max_combinations=2, synergy=False)
-        quantifier.pair_weight(_bool_entity("a"), _bool_entity("b"))
-        assert len(calls) == 2
+        _, report = _quantify_pair(quantifier, "a", "b")
+        assert calls == [{"a": True, "b": True}, {"a": True, "b": False}]
+        assert report.launches == 2
 
     def test_invalid_aggregate_rejected(self):
         with pytest.raises(ValueError):
             RelationQuantifier(_synthetic_probe, aggregate="median")
+
+    def test_probe_or_executor_required(self):
+        with pytest.raises(ValueError):
+            RelationQuantifier()
 
 
 class TestQuantify:
