@@ -4,11 +4,12 @@
 #
 # Flow: start a coordinator and two worker agents sharing one result/
 # checkpoint cache; submit a three-cell campaign grid with
-# checkpointing; SIGKILL one agent mid-cell (its lease expires, the
-# survivor steals the orphaned work and resumes it from the shared
-# checkpoint); then run the identical grid on the in-process pool
-# (`repro fleet submit --backend local --workers 2`) and byte-compare
-# the two merged exports. Also exercises the status/roster surface so
+# checkpointing; SIGKILL one agent mid-cell (its heartbeats stop, its
+# lease expires after the lease TTL, and the survivor leases the
+# orphaned cell and resumes it from the shared checkpoint); then run
+# the identical grid on the in-process pool (`repro fleet submit
+# --backend local --workers 2`) and byte-compare the two merged
+# exports. Also exercises the status/roster surface so
 # the observability endpoints stay honest.
 #
 # Knobs:

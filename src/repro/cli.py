@@ -167,13 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     coordinator.add_argument("--heartbeat-interval", type=float, default=5.0,
                              help="cadence agents must heartbeat at "
                                   "(default: 5)")
-    coordinator.add_argument("--steal-after", type=float, default=None,
-                             help="lease age before an idle agent may "
-                                  "steal it from the slowest queue "
-                                  "(default: lease-ttl / 2)")
-    coordinator.add_argument("--retries", type=int, default=1,
-                             help="default per-cell retry budget for "
-                                  "submitted campaigns (default: 1)")
 
     agent = fleet_sub.add_parser(
         "agent", help="run one worker agent against a coordinator")
@@ -398,8 +391,6 @@ def _cmd_fleet_coordinator(args, out) -> int:
     config = FleetConfig(
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat_interval,
-        steal_after=args.steal_after,
-        retries=args.retries,
     )
     server = serve(host=args.host, port=args.port, config=config).start()
     out.write("fleet coordinator serving on %s (lease ttl %.1fs, "
@@ -461,7 +452,7 @@ def _cmd_fleet_submit(args, out) -> int:
 
         cells = run_specs_fleet(specs, coordinator=args.coordinator,
                                 retries=args.retries, label=args.label,
-                                timeout=args.timeout)
+                                wait_timeout=args.timeout)
     campaigns = results(cells)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as handle:

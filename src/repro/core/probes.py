@@ -361,7 +361,6 @@ class CachedProbeExecutor:
 
 def build_probe_executor(
     target_id: str,
-    probe: Optional[Callable[[Dict[str, Any]], Any]] = None,
     workers: int = 1,
     cache: bool = False,
     cache_dir: Optional[str] = None,
@@ -381,9 +380,8 @@ def build_probe_executor(
     in-process probing rather than crashing the campaign.
 
     Args:
-        target_id: Target registry name; also the cache-key namespace.
-        probe: Probe callable for in-process probing; when omitted it
-            is built from the registry (faults collected into outcomes).
+        target_id: Target registry name (in-process probes are built
+            from its entry); also the cache-key namespace.
         workers: Probe worker processes; ``1`` stays in-process.
         cache: Enable the on-disk probe cache.
         cache_dir: Cache root override (default ``.cmfuzz-cache/``).
@@ -404,15 +402,12 @@ def build_probe_executor(
             startup_latency=startup_latency, injector=injector,
         )
     else:
-        if probe is None:
-            from repro.targets.base import startup_probe_for
-            from repro.targets.registry import get_target
+        from repro.targets.base import startup_probe_for
+        from repro.targets.registry import get_target
 
-            fault_log: List = []
-            probe = startup_probe_for(get_target(target_id).target_cls,
-                                      on_fault=fault_log.append)
-        else:
-            fault_log = getattr(probe, "fault_log", None)
+        fault_log: List = []
+        probe = startup_probe_for(get_target(target_id).target_cls,
+                                  on_fault=fault_log.append)
         executor = LocalProbeExecutor(probe, fault_log=fault_log,
                                       startup_latency=startup_latency)
     if cache:

@@ -7,7 +7,7 @@ and carries the policies that keep a campaign's exports byte-identical
 anyway. The invariant every boundary enforces: faults may cost time,
 never results.
 
-Three pieces:
+Four pieces:
 
 - :class:`FaultPlan` — a frozen, picklable, seeded schedule. Whether
   operation ``op_index`` at boundary ``site`` faults (and how) is a pure
@@ -19,6 +19,8 @@ Three pieces:
 - :class:`BackoffPolicy` — the bounded-retry schedule for transients:
   exponential backoff with deterministic seeded jitter, so tests can
   assert the exact attempt times.
+- :class:`InjectedDeaths` — which worker launches a plan dooms, capped
+  per cell; the process pool and fleet agents both consult one.
 - :class:`FaultInjector` — the per-campaign stateful wrapper call sites
   consult. :meth:`FaultInjector.run` executes one I/O operation under
   the plan: injected and *real* transient ``OSError`` alike are retried
@@ -51,6 +53,7 @@ __all__ = [
     "BackoffPolicy",
     "FaultInjector",
     "FaultPlan",
+    "InjectedDeaths",
     "InjectedIOError",
     "IoGiveUp",
     "NULL_INJECTOR",
@@ -339,3 +342,30 @@ class FaultInjector:
 #: The shared disabled injector: consults nothing, injects nothing, but
 #: still applies the retry/degrade contract to *real* I/O errors.
 NULL_INJECTOR = FaultInjector()
+
+
+class InjectedDeaths:
+    """Which worker launches at ``site`` the injector dooms to die.
+
+    At most :attr:`CAP` launches per cell ``key`` die, so an io-chaos
+    level of 1.0 cannot livelock the pool or a fleet agent. A capped
+    cell consumes no op at the site.
+    """
+
+    CAP = 3
+
+    def __init__(self, injector: Optional[FaultInjector], site: str):
+        self.injector = injector
+        self.site = site
+        self.deaths: Dict[Any, int] = {}
+
+    def doomed(self, key: Any) -> bool:
+        """Whether this launch of cell ``key`` dies before its result."""
+        if self.injector is None or not self.injector.enabled \
+                or self.deaths.get(key, 0) >= self.CAP:
+            return False
+        if self.injector.fault_for(
+                self.site, kinds=(FAULT_WORKER_DEATH,)) is None:
+            return False
+        self.deaths[key] = self.deaths.get(key, 0) + 1
+        return True

@@ -5,10 +5,12 @@ machinery. The **coordinator** (:mod:`repro.fleet.coordinator`) owns a
 deterministic lease table per submitted campaign and serves an
 HTTP+JSON API; **worker agents** (:mod:`repro.fleet.agent`) register,
 heartbeat, lease cells, execute them through ``run_spec`` + the shared
-content-addressed cache, and report outcomes. Missed heartbeats expire
-leases and re-assign cells (work-stealing from the slowest queue);
-lease fencing epochs discard zombie results; the shared cache plus
-checkpoint/resume make a re-leased cell continue instead of restart.
+content-addressed cache, and report outcomes. The lease table is the
+process pool's (:mod:`repro.harness.leases`), so both backends settle
+cells under one retry and timeout policy. Missed heartbeats expire
+leases and re-assign cells; lease fencing epochs discard zombie
+results; the shared cache plus checkpoint/resume make a re-leased cell
+continue instead of restart.
 
 The contract that makes all of this safe to use for the evaluation:
 **a fleet run's merged export is byte-identical to ``workers=N`` local
@@ -42,7 +44,7 @@ from repro.fleet.coordinator import (
     FleetServer,
     serve,
 )
-from repro.fleet.leases import LeaseTable
+from repro.harness.leases import CellFailure, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = [
@@ -61,9 +63,9 @@ __all__ = [
     "wire",
 ]
 
-#: Ephemeral-fleet cadence: tight enough that an in-test agent death is
-#: swept within a couple of seconds, loose enough not to flap under
-#: loaded CI runners.
+#: Ephemeral-fleet cadence: a dead in-test agent's cell comes back
+#: within one 10 s TTL, loose enough not to flap under loaded CI
+#: runners.
 _EPHEMERAL_CONFIG = FleetConfig(lease_ttl=10.0, heartbeat_interval=2.0)
 
 
@@ -75,7 +77,7 @@ def collect_cells(client, session_id: str, specs: Sequence,
     (and any export derived from it) is independent of which agent
     finished which cell when.
     """
-    from repro.harness.pool import CellFailure, CellResult
+    from repro.harness.pool import CellResult
 
     status = status or client.status(session_id)
     by_index = {cell.index: cell for cell in status.cells}
@@ -89,15 +91,9 @@ def collect_cells(client, session_id: str, specs: Sequence,
                 from_cache=report.from_cache, attempts=cell.attempts,
             ))
         else:
-            failure = dict(report.failure or {})
             results.append(CellResult(
                 index=index, spec=spec,
-                failure=CellFailure(
-                    kind=failure.get("kind", "exception"),
-                    message=failure.get("message", ""),
-                    traceback=failure.get("traceback", ""),
-                    exitcode=failure.get("exitcode"),
-                ),
+                failure=CellFailure.from_dict(report.failure or {}),
                 attempts=cell.attempts,
             ))
     return results
@@ -116,8 +112,16 @@ def run_specs_fleet(
     poll: float = 0.2,
     label: str = "",
     timeout: Optional[float] = None,
+    wait_timeout: Optional[float] = None,
 ) -> List:
     """Run a spec grid on the fleet; the executor's ``backend="fleet"``.
+
+    ``timeout`` is each cell's wall-clock budget per attempt, as in
+    :func:`~repro.harness.pool.execute_tasks`: the coordinator fails an
+    overrun cell as a ``timeout`` and fences its late result.
+    ``wait_timeout`` bounds how long the submitter waits for the whole
+    session before giving up with
+    :class:`~repro.fleet.client.CoordinatorUnavailable`.
 
     Two shapes:
 
@@ -153,9 +157,10 @@ def run_specs_fleet(
         # A coordinator started alongside the submitter may not listen
         # yet; wait for it as ``repro fleet agent`` does.
         client.wait_ready(timeout=30.0)
-        accepted = client.submit(blobs, retries=retries, label=label)
+        accepted = client.submit(blobs, retries=retries, label=label,
+                                 timeout=timeout)
         status = wait_for_session(client, accepted.session_id, poll=poll,
-                                  timeout=timeout)
+                                  timeout=wait_timeout)
         return collect_cells(client, accepted.session_id, spec_list,
                              status=status)
 
@@ -166,7 +171,7 @@ def run_specs_fleet(
         client = CoordinatorClient(server.url)
         client.wait_ready()
         accepted = client.submit(blobs, retries=retries,
-                                 label=label or "ephemeral")
+                                 label=label or "ephemeral", timeout=timeout)
         for index in range(max(1, workers)):
             agent = FleetAgent(
                 CoordinatorClient(server.url),
@@ -180,7 +185,7 @@ def run_specs_fleet(
             thread.start()
             threads.append(thread)
         status = wait_for_session(client, accepted.session_id, poll=poll,
-                                  timeout=timeout)
+                                  timeout=wait_timeout)
         return collect_cells(client, accepted.session_id, spec_list,
                              status=status)
     finally:

@@ -16,9 +16,10 @@ re-leases) runs it:
 - a lease's fencing epoch rides along to the report, so work finished
   after the coordinator expired the lease is discarded server-side —
   the agent never has to reason about whether it is a zombie;
-- failures are reported as structured records (the pool's
-  :class:`~repro.harness.pool.CellFailure` shape) and charged against
-  the cell's retry budget by the coordinator, not locally.
+- failures are reported as the pool's
+  :class:`~repro.harness.leases.CellFailure` records and charged
+  against the cell's retry budget by the coordinator's lease table,
+  not locally.
 
 The heartbeat runs on its own daemon thread at the cadence the
 coordinator dictated at registration; an ``expired`` heartbeat answer
@@ -26,11 +27,11 @@ coordinator dictated at registration; an ``expired`` heartbeat answer
 identity, abandoning any stale lease to the epoch fence.
 
 An optional fault-plane injector dooms cells before execution
-(``fleet.agent`` site, worker-death kind): the agent *releases* the
-lease unexecuted — observationally a crash, minus the wall-clock wait
-for expiry — capped per cell so a level-1.0 plan cannot livelock the
-fleet. Mirrors the pool's injected-death policy: no retry budget is
-charged, and exports stay byte-identical.
+(``fleet.agent`` site, under the
+:class:`~repro.faultplane.InjectedDeaths` cap the pool uses too): the
+agent *releases* the lease unexecuted — observationally a crash, minus the wall-clock
+wait for expiry. As in the pool, the release refunds the attempt, and
+exports stay byte-identical.
 """
 
 from __future__ import annotations
@@ -39,19 +40,15 @@ import os
 import socket
 import threading
 import time
-import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
-from repro.faultplane import FAULT_WORKER_DEATH
+from repro.faultplane import InjectedDeaths
 from repro.fleet import wire
-from repro.fleet.client import CoordinatorClient, CoordinatorUnavailable
+from repro.fleet.client import CoordinatorUnavailable
+from repro.harness.leases import CellFailure
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["FleetAgent", "LocalClient"]
-
-#: Injected-death cap per (session, cell), mirroring the pool's
-#: ``_MAX_INJECTED_DEATHS``.
-_MAX_INJECTED_DEATHS = 3
 
 
 class LocalClient:
@@ -129,7 +126,7 @@ class FleetAgent:
         self._stop = threading.Event()
         self._heartbeat_interval = 5.0
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._doomed_counts: Dict[Any, int] = {}
+        self._deaths = InjectedDeaths(injector, "fleet.agent")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -210,21 +207,8 @@ class FleetAgent:
                                       injector=self.injector)
         return self._store
 
-    def _doomed(self, grant: wire.LeaseGrant) -> bool:
-        if self.injector is None or not getattr(self.injector, "enabled",
-                                                False):
-            return False
-        key = (grant.session_id, grant.cell_index)
-        if self._doomed_counts.get(key, 0) >= _MAX_INJECTED_DEATHS:
-            return False
-        doomed = self.injector.fault_for(
-            "fleet.agent", kinds=(FAULT_WORKER_DEATH,)) is not None
-        if doomed:
-            self._doomed_counts[key] = self._doomed_counts.get(key, 0) + 1
-        return doomed
-
     def _execute(self, grant: wire.LeaseGrant) -> None:
-        if self._doomed(grant):
+        if self._deaths.doomed((grant.session_id, grant.cell_index)):
             # Simulated crash: hand the lease back unexecuted. The
             # coordinator re-pends it without charging the retry budget
             # (the same lease-style policy as injected pool deaths).
@@ -269,12 +253,7 @@ class FleetAgent:
             return wire.ResultReport(
                 agent_id=self.agent_id, session_id=grant.session_id,
                 cell_index=grant.cell_index, epoch=grant.epoch,
-                failure={
-                    "kind": "exception",
-                    "message": "%s: %s" % (type(exc).__name__, exc),
-                    "traceback": traceback.format_exc(),
-                    "exitcode": None,
-                })
+                failure=CellFailure.from_exception(exc).to_dict())
         self.telemetry.histogram("fleet.agent.cell_seconds").observe(
             time.monotonic() - started)
         if store is not None:

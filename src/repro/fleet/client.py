@@ -106,11 +106,12 @@ class CoordinatorClient:
     # -- campaigns ---------------------------------------------------------
 
     def submit(self, spec_blobs: List[str], retries: int = 1,
-               label: str = "") -> wire.CampaignAccepted:
+               label: str = "",
+               timeout: Optional[float] = None) -> wire.CampaignAccepted:
         return self._call(
             "POST", "/v1/campaigns",
             wire.CampaignSubmit(spec_blobs=list(spec_blobs), retries=retries,
-                                label=label),
+                                label=label, timeout=timeout),
             expected=wire.CampaignAccepted)
 
     def sessions(self) -> wire.SessionList:

@@ -23,17 +23,20 @@ envelopes)::
     POST /v1/agents/release            LeaseRelease    -> ResultAck
     POST /v1/agents/result             ResultReport    -> ResultAck
 
-Dead agents are detected lazily: every mutating call first sweeps the
-roster for registrations whose ``last_seen`` is older than the lease
-TTL, expires their leases (epoch bump → re-pend) and marks them dead.
-Lazy sweeping keeps the control plane single-threaded-deterministic;
+Dead agents and overrun cells are detected lazily: every call first
+sweeps. The sweep fails each cell held past the session's per-cell
+budget (kind ``timeout``, an attempt charged), then finds registrations
+whose ``last_seen`` is older than the lease TTL, expires their leases
+(epoch bump → re-pend, the attempt refunded) and marks them dead. Lazy
+sweeping keeps the control plane single-threaded-deterministic;
 liveness holds because any surviving agent polls the lease endpoint
-while idle, and each poll runs the sweep.
+while idle, the submitter polls the session's status, and each poll
+runs the sweep.
 
 Telemetry (when given): ``fleet.sessions``, ``fleet.leases``,
 ``fleet.heartbeats``, ``fleet.expired_leases``, ``fleet.dead_agents``,
-``fleet.stolen``, ``fleet.results``, ``fleet.zombie_results`` counters
-plus a span per lease grant and heartbeat.
+``fleet.timeouts``, ``fleet.results``, ``fleet.zombie_results``
+counters plus a span per lease grant and heartbeat.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from urllib.parse import parse_qs, urlparse
 import time
 
 from repro.fleet import wire
-from repro.fleet.leases import CELL_DONE, CELL_FAILED, LeaseTable
+from repro.harness.leases import CELL_DONE, CELL_FAILED, CellFailure, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["FleetConfig", "FleetCoordinator", "FleetServer", "serve"]
@@ -57,23 +60,14 @@ __all__ = ["FleetConfig", "FleetCoordinator", "FleetServer", "serve"]
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Coordinator-side cadence and retry policy.
+    """Coordinator-side cadence; retries and budgets come per submit.
 
     ``lease_ttl`` doubles as the dead-agent threshold: an agent silent
     for longer than one TTL loses its leases and its registration.
-    ``steal_after`` defaults to half the TTL so idle agents re-balance
-    long tails before outright expiry.
     """
 
     lease_ttl: float = 15.0
     heartbeat_interval: float = 5.0
-    steal_after: Optional[float] = None
-    retries: int = 1
-
-    @property
-    def effective_steal_after(self) -> float:
-        return self.lease_ttl / 2.0 if self.steal_after is None \
-            else self.steal_after
 
 
 @dataclass
@@ -128,7 +122,12 @@ class FleetCoordinator:
         return "%s-%04d" % (prefix, self._serial)
 
     def _sweep(self, now: float) -> None:
-        """Expire dead registrations and overdue leases."""
+        """Fail overrun cells, then expire dead registrations and
+        overdue leases."""
+        for session in self._sessions.values():
+            late = session.table.overrun(now)
+            if late:
+                self.telemetry.counter("fleet.timeouts").inc(len(late))
         ttl = self.config.lease_ttl
         for record in self._agents.values():
             if record.state == "alive" and now - record.last_seen > ttl:
@@ -158,11 +157,11 @@ class FleetCoordinator:
         with self._lock:
             now = self.clock()
             session_id = self._next_id("s")
-            table = LeaseTable.for_blobs(
+            table = LeaseTable.for_payloads(
                 list(message.spec_blobs),
+                budget=message.timeout,
                 lease_ttl=self.config.lease_ttl,
                 retries=message.retries,
-                steal_after=self.config.effective_steal_after,
             )
             self._sessions[session_id] = _Session(
                 session_id=session_id, label=message.label, table=table,
@@ -215,7 +214,9 @@ class FleetCoordinator:
             return wire.ResultReport(
                 agent_id=cell.agent, session_id=session_id,
                 cell_index=index, epoch=cell.epoch,
-                outcome_blob=cell.outcome_blob, failure=cell.failure,
+                outcome_blob=cell.outcome,
+                failure=None if cell.failure is None
+                else cell.failure.to_dict(),
                 from_cache=cell.from_cache,
             )
 
@@ -260,17 +261,13 @@ class FleetCoordinator:
                     return wire.LeaseGrant(session_id="", cell_index=-1,
                                            epoch=-1, spec_blob="", done=True)
                 for sid in self._session_order:
-                    table = self._sessions[sid].table
-                    stealable = not any(c.state == "pending"
-                                        for c in table.cells)
-                    cell = table.lease(message.agent_id, now)
+                    cell = self._sessions[sid].table.lease(
+                        message.agent_id, now)
                     if cell is not None:
                         self.telemetry.counter("fleet.leases").inc()
-                        if stealable:
-                            self.telemetry.counter("fleet.stolen").inc()
                         return wire.LeaseGrant(
                             session_id=sid, cell_index=cell.index,
-                            epoch=cell.epoch, spec_blob=cell.spec_blob,
+                            epoch=cell.epoch, spec_blob=cell.payload,
                         )
                 return wire.LeaseGrant(session_id="", cell_index=-1,
                                        epoch=-1, spec_blob="", idle=True)
@@ -303,7 +300,7 @@ class FleetCoordinator:
             else:
                 accepted, reason = session.table.fail(
                     message.agent_id, message.cell_index, message.epoch,
-                    dict(message.failure or {}), now,
+                    CellFailure.from_dict(message.failure or {}), now,
                 )
             if accepted:
                 self.telemetry.counter("fleet.results").inc()
@@ -320,7 +317,7 @@ class FleetCoordinator:
             agents = []
             for agent_id in sorted(self._agents):
                 record = self._agents[agent_id]
-                leased = sum(s.table.queue_depth(agent_id)
+                leased = sum(len(s.table.leased_to(agent_id))
                              for s in self._sessions.values())
                 agents.append(wire.AgentInfo(
                     agent_id=agent_id, state=record.state,

@@ -58,7 +58,8 @@ __all__ = [
 #: Bumped whenever any wire message's layout changes incompatibly;
 #: mismatched peers fail loudly at decode time instead of mis-reading
 #: each other's fields.
-WIRE_SCHEMA_VERSION = 1
+#: 2: CampaignSubmit grew the per-cell ``timeout``.
+WIRE_SCHEMA_VERSION = 2
 
 
 class WireError(ValueError):
@@ -170,11 +171,14 @@ class ResultAck:
 @dataclass(frozen=True)
 class CampaignSubmit:
     """A campaign: an ordered list of packed :class:`CampaignSpec`
-    blobs. Results fold back in this order, never arrival order."""
+    blobs. Results fold back in this order, never arrival order.
+    ``timeout`` is each cell's wall-clock budget per attempt, counted
+    from the grant (``None``: unbounded)."""
 
     spec_blobs: List[str]
     retries: int = 1
     label: str = ""
+    timeout: Optional[float] = None
 
 
 @dataclass(frozen=True)

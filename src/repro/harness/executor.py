@@ -15,11 +15,10 @@ bit-for-bit determinism of the serial path:
   per-instance counters. :meth:`CampaignOutcome.to_result` rebuilds a
   :class:`CampaignResult` (without live instances) so every downstream
   consumer of the serial API keeps working.
-- :func:`execute_specs` schedules cells onto the generic task pool
-  (:mod:`repro.harness.pool`): per-cell timeouts, bounded retries in a
-  fresh worker, structured :class:`CellFailure` records instead of a
-  hung pool, results ordered by spec index regardless of completion
-  order.
+- :func:`execute_specs` schedules cells onto the local process pool
+  (:mod:`repro.harness.pool`) or the fleet: per-cell timeouts, bounded
+  retries, structured :class:`CellFailure` records instead of a hung
+  grid, results ordered by spec index regardless of completion order.
 - :class:`ResultCache` memoises successful outcomes on disk under
   ``.cmfuzz-cache/`` keyed by a stable content hash of the spec, so
   re-running an expensive grid after an unrelated edit is free. The
@@ -345,8 +344,9 @@ def execute_specs(
             picklable module-level callable for ``workers > 1``.
         cache: Memoise successful outcomes on disk.
         cache_dir: Cache directory (default ``.cmfuzz-cache/``).
-        timeout: Per-cell wall-clock budget in seconds (pooled only); an
-            expired worker is terminated and the cell recorded/retried.
+        timeout: Per-cell wall-clock budget in seconds per attempt (the
+            pool with ``workers > 1``, and the fleet); an overrun cell
+            is recorded or retried as a ``timeout``.
         retries: How many times a failed cell is re-run in a fresh
             worker before its failure record becomes final.
         telemetry: Optional :class:`repro.telemetry.Telemetry` recording
@@ -382,7 +382,8 @@ def execute_specs(
         return run_specs_fleet(
             spec_list, coordinator=coordinator, workers=workers,
             runner=runner, cache=cache, cache_dir=cache_dir,
-            retries=retries, telemetry=telemetry, io_injector=io_injector,
+            timeout=timeout, retries=retries, telemetry=telemetry,
+            io_injector=io_injector,
         )
     if backend != "local":
         raise ValueError("unknown executor backend %r (expected 'local' "

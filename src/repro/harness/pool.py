@@ -1,23 +1,25 @@
-"""A generic bounded process pool with timeouts, retries and failure records.
+"""The local process pool: cells fanned out on this machine.
 
-Extracted from the campaign executor so any picklable fan-out — campaign
-cells, relation-probe batches — shares one battle-tested scheduling core:
+:func:`execute_tasks` runs a list of :class:`Task`\\ s — campaign cells
+from :mod:`repro.harness.executor`, relation-probe batches from
+:mod:`repro.core.probes` — and returns one :class:`CellResult` per task,
+ordered like the input regardless of completion order.
 
-- :class:`Task` wraps one unit of work: a picklable ``payload`` handed to
-  the runner, the ``index`` results are keyed by, optional caller
-  ``meta`` (e.g. a cache key) and an optional per-task ``timeout``
-  overriding the pool-wide budget.
-- :func:`execute_tasks` schedules tasks onto one worker process per
-  in-flight task, applies per-task deadlines, retries failed tasks in a
-  fresh worker and converts worker crashes into structured
-  :class:`CellFailure` records instead of a hung pool. Results come back
-  ordered like the input regardless of completion order.
-- ``workers=1`` short-circuits to an in-process loop with the identical
-  retry contract (and no timeout enforcement).
+The pool keeps no retry state of its own. A
+:class:`~repro.harness.leases.LeaseTable` (without heartbeat expiry)
+holds every attempt, retry, timeout and failure, under the policy the
+fleet coordinator applies too. One loop drives the table for both
+shapes:
 
-The campaign-specific layers — spec construction, outcome caching —
-stay in :mod:`repro.harness.executor`; the probe fan-out lives in
-:mod:`repro.core.probes`.
+- ``workers=1`` runs each leased task in-process, with no budget;
+- ``workers>1`` runs each leased task in a fresh worker process, each
+  under its budget (``Task.timeout``, else the pool-wide ``timeout``).
+
+Each launch ends in one table transition: a result goes to
+``complete``; a raised exception or a worker that exits without a
+result goes to ``fail``; a death the fault plane injected goes to
+``release``, which refunds the attempt. The workers whose tasks the
+table reports as overrun are killed.
 """
 
 from __future__ import annotations
@@ -26,19 +28,17 @@ import multiprocessing
 import os
 import pickle
 import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CampaignInterrupted, HarnessError
-from repro.faultplane import FAULT_WORKER_DEATH
+from repro.faultplane import InjectedDeaths
+from repro.harness.leases import Cell, CellFailure, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
 
-#: Cap on injected deaths per task, so an io-chaos level of 1.0 cannot
-#: doom every relaunch forever and livelock the pool.
-_MAX_INJECTED_DEATHS = 3
+#: The one holder of every lease in a pool's table.
+_HOLDER = "pool"
 
 #: What ``Connection.send`` can raise inside a worker (mirrors the
 #: concrete-set treatment of ``UNPICKLE_ERRORS`` in :mod:`repro.cache`):
@@ -53,19 +53,6 @@ _PIPE_SEND_ERRORS = (OSError, ValueError, pickle.PicklingError,
 #: What ``Connection.close`` can raise: only OS-level failures on an
 #: already-broken or double-closed handle.
 _PIPE_CLOSE_ERRORS = (OSError,)
-
-
-@dataclass
-class CellFailure:
-    """A structured record of why a task could not produce a result."""
-
-    kind: str  # "exception" | "timeout" | "worker-died"
-    message: str
-    traceback: str = ""
-    exitcode: Optional[int] = None
-
-    def __str__(self) -> str:
-        return "[%s] %s" % (self.kind, self.message)
 
 
 @dataclass
@@ -116,26 +103,22 @@ class Task:
         meta: Opaque caller bookkeeping (e.g. a cache key); never crosses
             the process boundary.
         timeout: Per-task wall-clock budget overriding the pool default
-            (batched tasks scale their deadline with batch size).
-        attempts: Internal retry counter.
+            (batched tasks scale their budget with batch size).
     """
 
     index: int
     payload: Any
     meta: Any = None
     timeout: Optional[float] = None
-    attempts: int = field(default=0, repr=False)
 
 
 def _task_entry(runner: Callable, payload: Any, conn) -> None:
     """Worker process entry point: run the task, ship one message back."""
     try:
-        outcome = runner(payload)
-        conn.send(("ok", outcome))
+        conn.send(("ok", runner(payload)))
     except BaseException as exc:  # noqa: BLE001 - converted to a record
         try:
-            conn.send(("error", type(exc).__name__, str(exc),
-                       traceback.format_exc()))
+            conn.send(("error", CellFailure.from_exception(exc)))
         except _PIPE_SEND_ERRORS:
             # Unreportable failure (pipe gone or record unpicklable):
             # die silently; the parent records "worker-died".
@@ -163,14 +146,28 @@ def _doomed_entry(conn) -> None:
     os._exit(173)
 
 
+def _run_here(runner: Callable, payload: Any):
+    """The in-process launch: the message a worker would have sent."""
+    try:
+        return ("ok", runner(payload))
+    except CampaignInterrupted:
+        # An operator-initiated stop (SIGTERM/SIGINT with
+        # checkpointing): retrying in-process would immediately resume
+        # the campaign the operator is trying to stop, so the interrupt
+        # propagates to the caller instead.
+        raise
+    except Exception as exc:  # noqa: BLE001 - converted to a record
+        return ("error", CellFailure.from_exception(exc))
+
+
 @dataclass
 class _Running:
-    task: Task
+    """One worker process and the leased cell it runs."""
+
+    cell: Cell
     process: Any
     conn: Any
-    deadline: Optional[float]
-    budget: Optional[float]
-    started: float = 0.0
+    started: float
     injected: bool = False
 
 
@@ -212,13 +209,12 @@ def execute_tasks(
         telemetry: Optional :class:`repro.telemetry.Telemetry`; records
             ``<prefix>.task_seconds`` and ``<prefix>.retries``.
         on_success: Invoked as ``on_success(task, outcome)`` before the
-            success record is built (cache writes hook in here).
+            result is folded into the table (cache writes hook in here).
         metric_prefix: Namespace for the pool's telemetry instruments.
         injector: Optional :class:`repro.faultplane.FaultInjector`; an
             enabled plan may doom a launched worker to die before
-            shipping its result. The pool's policy is lease-style:
-            an injected death is respawned and re-leased without
-            charging the retry budget or the pool metrics, so the
+            shipping its result. The death releases the lease: the
+            attempt is refunded and no pool metric observes it, so the
             exported counters never see the fault plane's weather.
             Ignored on the ``workers=1`` in-process path (there is no
             worker to kill).
@@ -229,175 +225,106 @@ def execute_tasks(
         ``index``.
     """
     tele = telemetry or NULL_TELEMETRY
-    slots: Dict[int, CellResult] = {}
-    pending: deque = deque(tasks)
-    for task in pending:
-        task.attempts = 0
+    inline = workers <= 1
+    table = LeaseTable(cells=[
+        Cell(index=i, payload=task, budget=None if inline
+             else timeout if task.timeout is None else task.timeout)
+        for i, task in enumerate(tasks)
+    ], lease_ttl=None, retries=retries)
+    running: Dict[int, _Running] = {}
+    deaths = InjectedDeaths(None if inline else injector, "pool.worker")
+    ctx = None if inline else (mp_context or default_context())
 
-    if workers <= 1:
-        for task in pending:
-            slots[id(task)] = _run_inline(task, runner, retries, on_success,
-                                          tele, metric_prefix)
-    else:
-        _run_pool(pending, slots, workers, runner, retries, timeout,
-                  on_success, mp_context or default_context(), tele,
-                  metric_prefix, injector)
-    return [slots[id(task)] for task in tasks]
-
-
-def _finish_ok(task: Task, outcome: Any,
-               on_success: Optional[Callable]) -> CellResult:
-    if on_success is not None:
-        on_success(task, outcome)
-    return CellResult(
-        index=task.index, spec=task.payload, outcome=outcome,
-        attempts=task.attempts,
-    )
-
-
-def _run_inline(task: Task, runner: Callable, retries: int,
-                on_success: Optional[Callable], tele,
-                metric_prefix: str) -> CellResult:
-    """The ``workers=1`` path: same retry contract, no subprocesses."""
-    failure = None
-    while task.attempts <= retries:
-        if task.attempts:
-            tele.counter(metric_prefix + ".retries").inc()
-        task.attempts += 1
-        started = time.monotonic()
-        try:
-            outcome = runner(task.payload)
-        except CampaignInterrupted:
-            # An operator-initiated stop (SIGTERM/SIGINT with
-            # checkpointing): retrying in-process would immediately
-            # resume the campaign the operator is trying to stop, so
-            # the interrupt propagates to the caller instead.
-            raise
-        except Exception as exc:
-            tele.histogram(metric_prefix + ".task_seconds").observe(
-                time.monotonic() - started)
-            failure = CellFailure(
-                kind="exception",
-                message="%s: %s" % (type(exc).__name__, exc),
-                traceback=traceback.format_exc(),
-            )
+    def fold(cell: Cell, started: float, message) -> None:
+        """One launch's result or observed failure into the table."""
+        now = time.monotonic()
+        tele.histogram(metric_prefix + ".task_seconds").observe(now - started)
+        status, value = message
+        if status == "ok":
+            if on_success is not None:
+                on_success(cell.payload, value)
+            table.complete(_HOLDER, cell.index, cell.epoch, value, now)
         else:
-            tele.histogram(metric_prefix + ".task_seconds").observe(
-                time.monotonic() - started)
-            return _finish_ok(task, outcome, on_success)
-    return CellResult(
-        index=task.index, spec=task.payload, failure=failure,
-        attempts=task.attempts,
-    )
+            table.fail(_HOLDER, cell.index, cell.epoch, value, now)
 
-
-def _run_pool(pending, slots, workers, runner, retries, timeout,
-              on_success, ctx, tele, metric_prefix, injector=None):
-    running: Dict[Any, _Running] = {}
-    doomed_counts: Dict[int, int] = {}
-
-    def launch(task: Task) -> None:
-        if task.attempts:
-            tele.counter(metric_prefix + ".retries").inc()
-        task.attempts += 1
-        doomed = False
-        if injector is not None and injector.enabled and \
-                doomed_counts.get(id(task), 0) < _MAX_INJECTED_DEATHS:
-            doomed = injector.fault_for(
-                "pool.worker", kinds=(FAULT_WORKER_DEATH,)) is not None
-            if doomed:
-                doomed_counts[id(task)] = doomed_counts.get(id(task), 0) + 1
+    def launch(cell: Cell) -> None:
+        doomed = deaths.doomed(cell.index)
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_doomed_entry if doomed else _task_entry,
             args=(child_conn,) if doomed
-            else (runner, task.payload, child_conn),
+            else (runner, cell.payload.payload, child_conn),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        started = time.monotonic()
-        budget = task.timeout if task.timeout is not None else timeout
-        deadline = (started + budget) if budget else None
-        running[parent_conn] = _Running(
-            task=task, process=process, conn=parent_conn, deadline=deadline,
-            budget=budget, started=started, injected=doomed,
+        running[cell.index] = _Running(
+            cell=cell, process=process, conn=parent_conn,
+            started=time.monotonic(), injected=doomed,
         )
 
-    def settle(run: _Running, failure: CellFailure) -> None:
-        """Record a failure or requeue the task for a fresh worker."""
-        if run.injected:
-            # An injected worker death re-leases the cell to a fresh
-            # worker: the attempt is refunded and neither the retry
-            # counter nor the task_seconds histogram observes it, so
-            # exported metrics stay identical to the fault-free run.
-            run.task.attempts -= 1
-            pending.append(run.task)
+    def collect(run: _Running) -> None:
+        """Fold a worker that shipped a message or exited."""
+        del running[run.cell.index]
+        try:
+            message = run.conn.recv()
+        except (EOFError, OSError):
+            message = None
+        run.conn.close()
+        run.process.join()
+        if message is None and run.injected:
+            table.release(_HOLDER, run.cell.index, run.cell.epoch,
+                          time.monotonic())
             return
-        tele.histogram(metric_prefix + ".task_seconds").observe(
-            time.monotonic() - run.started)
-        if run.task.attempts <= retries:
-            pending.append(run.task)
-        else:
-            slots[id(run.task)] = CellResult(
-                index=run.task.index, spec=run.task.payload,
-                failure=failure, attempts=run.task.attempts,
-            )
+        if message is None:
+            exitcode = run.process.exitcode
+            message = ("error", CellFailure(
+                kind="worker-died",
+                message="worker exited without a result (exitcode %s)"
+                        % exitcode,
+                exitcode=exitcode,
+            ))
+        fold(run.cell, run.started, message)
 
     try:
-        while pending or running:
-            while pending and len(running) < workers:
-                launch(pending.popleft())
-
-            wait_timeout = None
-            deadlines = [r.deadline for r in running.values()
-                         if r.deadline is not None]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - time.monotonic())
-            ready = mp_connection.wait(list(running), timeout=wait_timeout)
-
-            for conn in ready:
-                run = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                conn.close()
-                run.process.join()
-                if message is None:
-                    settle(run, CellFailure(
-                        kind="worker-died",
-                        message="worker exited without a result (exitcode %s)"
-                                % run.process.exitcode,
-                        exitcode=run.process.exitcode,
-                    ))
-                elif message[0] == "ok":
-                    tele.histogram(metric_prefix + ".task_seconds").observe(
-                        time.monotonic() - run.started)
-                    slots[id(run.task)] = _finish_ok(
-                        run.task, message[1], on_success)
+        while not table.done:
+            while len(running) < max(1, workers):
+                cell = table.lease(_HOLDER, time.monotonic())
+                if cell is None:
+                    break
+                if inline:
+                    started = time.monotonic()
+                    fold(cell, started,
+                         _run_here(runner, cell.payload.payload))
                 else:
-                    _, name, text, trace = message
-                    settle(run, CellFailure(
-                        kind="exception",
-                        message="%s: %s" % (name, text),
-                        traceback=trace,
-                    ))
-
-            now = time.monotonic()
-            for conn in [c for c, r in running.items()
-                         if r.deadline is not None and now >= r.deadline]:
-                run = running.pop(conn)
+                    launch(cell)
+            if not running:
+                continue
+            due = table.next_overrun()
+            wait = None if due is None else max(0.0, due - time.monotonic())
+            by_conn = {run.conn: run for run in running.values()}
+            for conn in mp_connection.wait(list(by_conn), timeout=wait):
+                collect(by_conn[conn])
+            for cell in table.overrun(time.monotonic()):
+                run = running.pop(cell.index)
                 _terminate(run.process)
-                conn.close()
-                settle(run, CellFailure(
-                    kind="timeout",
-                    message="task exceeded the %.1fs budget" % run.budget,
-                ))
+                run.conn.close()
+                tele.histogram(metric_prefix + ".task_seconds").observe(
+                    time.monotonic() - run.started)
     finally:
         for run in running.values():
             _terminate(run.process)
             run.conn.close()
+    results = [
+        CellResult(index=task.index, spec=task.payload, outcome=cell.outcome,
+                   failure=cell.failure, attempts=cell.attempts)
+        for task, cell in zip(tasks, table.cells)
+    ]
+    # Every attempt past a cell's first re-ran a charged failure.
+    retried = sum(result.attempts - 1 for result in results)
+    if retried:
+        tele.counter(metric_prefix + ".retries").inc(retried)
+    return results
 
 
 def _terminate(process) -> None:

@@ -38,6 +38,11 @@ def _runner(spec):
     return {"doubled": spec.value * 2}
 
 
+def _sleepy_runner(spec):
+    time.sleep(spec.value)
+    return {"slept": spec.value}
+
+
 @pytest.fixture()
 def fleet():
     server = serve(config=FleetConfig(lease_ttl=5.0,
@@ -226,6 +231,31 @@ class TestDeadAgentSweep:
             assert answer.expired
         finally:
             server.stop()
+
+
+class TestLongCells:
+    def test_cell_longer_than_half_the_lease_ttl_settles_once(self):
+        """Regression: the ephemeral fleet (10 s lease TTL) runs a 6 s
+        cell next to an idle agent, without the result cache. When idle
+        agents stole leases older than half the TTL, the steal fenced
+        the holder's result and restarted the cell, forever."""
+        from repro.harness.executor import execute_specs
+
+        box = {}
+
+        def grid():
+            box["cells"] = execute_specs(
+                [FakeSpec(0), FakeSpec(6)], backend="fleet", workers=2,
+                runner=_sleepy_runner, retries=0)
+
+        thread = threading.Thread(target=grid, daemon=True)
+        thread.start()
+        thread.join(60.0)
+        assert not thread.is_alive(), "the grid did not settle within 60 s"
+        cells = box["cells"]
+        assert [cell.outcome for cell in cells] == [{"slept": 0},
+                                                    {"slept": 6}]
+        assert [cell.attempts for cell in cells] == [1, 1]
 
 
 class TestRemoteDispatch:

@@ -6,8 +6,9 @@ matter which agents die when. Hypothesis drives a simulated fleet — a
 manual clock, the real :class:`FleetCoordinator` and real
 :func:`run_spec` execution, agents as plain state machines — and kills
 them at arbitrary points: before running, after running but before
-reporting (the zombie path), or via voluntary release. The folded
-export must match the local reference every time.
+reporting (the zombie path), or via voluntary release. Their cells come
+back through heartbeat expiry or the release. The folded export must
+match the local reference every time.
 
 The ephemeral-fleet tests then pin the same property through the real
 HTTP wire path and through fault-plane-injected agent deaths.
@@ -104,7 +105,7 @@ class TestScheduleChaos:
         clock = [0.0]
         ttl = 10.0
         coordinator = FleetCoordinator(
-            config=FleetConfig(lease_ttl=ttl, steal_after=ttl / 2),
+            config=FleetConfig(lease_ttl=ttl),
             clock=lambda: clock[0])
         client = LocalClient(coordinator)
         accepted = coordinator.submit(wire.CampaignSubmit(

@@ -1,6 +1,11 @@
 """Worker fault tolerance: raises, timeouts and dead workers become
 structured failure records; the rest of the grid still completes; a
-bounded retry in a fresh worker recovers transient failures."""
+bounded retry in a fresh worker recovers transient failures.
+
+Both backends settle cells through one lease table, so the exception
+and timeout cases run on the local pool and on an ephemeral fleet and
+must produce the same records, ``attempts`` included.
+"""
 
 import os
 import time
@@ -66,12 +71,21 @@ def _flaky_runner(spec):
     return _outcome(spec)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+#: (backend, workers); the local cases keep their worker-count ids.
+_BACKENDS = [
+    pytest.param("local", 1, id="1"),
+    pytest.param("local", 2, id="2"),
+    pytest.param("fleet", 1, id="fleet-1"),
+    pytest.param("fleet", 2, id="fleet-2"),
+]
+
+
+@pytest.mark.parametrize("backend, workers", _BACKENDS)
 class TestExceptionHandling:
-    def test_failure_record_and_surviving_cells(self, workers):
+    def test_failure_record_and_surviving_cells(self, backend, workers):
         specs = [_spec(), _spec(explode=True), _spec(), _spec()]
         cells = execute_specs(specs, workers=workers, runner=_explosive_runner,
-                              retries=0)
+                              retries=0, backend=backend)
         assert [cell.index for cell in cells] == [0, 1, 2, 3]
         failed = cells[1]
         assert not failed.ok
@@ -81,35 +95,43 @@ class TestExceptionHandling:
         assert failed.attempts == 1
         assert all(cell.ok for cell in cells if cell.index != 1)
 
-    def test_outcomes_raises_with_failed_cells_attached(self, workers):
+    def test_outcomes_raises_with_failed_cells_attached(self, backend,
+                                                        workers):
         cells = execute_specs([_spec(explode=True)], workers=workers,
-                              runner=_explosive_runner, retries=0)
+                              runner=_explosive_runner, retries=0,
+                              backend=backend)
         with pytest.raises(ExecutorError) as excinfo:
             outcomes(cells)
         assert excinfo.value.failed[0].failure.kind == "exception"
         assert "dnsmasq" in str(excinfo.value)
 
-    def test_retry_is_bounded(self, workers):
+    def test_retry_is_bounded(self, backend, workers):
         cells = execute_specs([_spec(explode=True)], workers=workers,
-                              runner=_explosive_runner, retries=2)
+                              runner=_explosive_runner, retries=2,
+                              backend=backend)
         assert not cells[0].ok
         assert cells[0].attempts == 3
 
-    def test_retry_recovers_transient_failure(self, workers, tmp_path):
+    def test_retry_recovers_transient_failure(self, backend, workers,
+                                              tmp_path):
         specs = [
             _spec(marker=str(tmp_path / "cell-a")),
             _spec(marker=str(tmp_path / "cell-b")),
         ]
         cells = execute_specs(specs, workers=workers, runner=_flaky_runner,
-                              retries=1)
+                              retries=1, backend=backend)
         assert all(cell.ok for cell in cells)
         assert all(cell.attempts == 2 for cell in cells)
 
 
 class TestWorkerDeath:
+    """Pool-only: an ephemeral fleet runs cells in agent threads of this
+    process, where ``os._exit`` would kill the test run itself."""
+
     def test_dead_worker_is_a_structured_failure(self):
         specs = [_spec(), _spec(die=True), _spec()]
-        cells = execute_specs(specs, workers=2, runner=_dying_runner, retries=0)
+        cells = execute_specs(specs, workers=2, runner=_dying_runner,
+                              retries=0, backend="local")
         dead = cells[1]
         assert not dead.ok
         assert dead.failure.kind == "worker-died"
@@ -120,21 +142,30 @@ class TestWorkerDeath:
         # Death is permanent here, so the retry burns its budget and the
         # failure record reports both attempts.
         cells = execute_specs([_spec(die=True)], workers=2,
-                              runner=_dying_runner, retries=1)
+                              runner=_dying_runner, retries=1,
+                              backend="local")
         assert not cells[0].ok
         assert cells[0].failure.kind == "worker-died"
         assert cells[0].attempts == 2
 
 
+@pytest.mark.parametrize("backend, workers", [
+    pytest.param("local", 2, id="2"),
+    pytest.param("fleet", 2, id="fleet-2"),
+])
 class TestTimeouts:
-    def test_hung_worker_is_terminated_not_waited_for(self):
+    def test_hung_worker_is_terminated_not_waited_for(self, backend,
+                                                      workers):
+        """The pool kills the hung worker; the fleet fails the cell and
+        fences the agent thread, which cannot be killed."""
         specs = [_spec(), _spec(hang=True), _spec()]
         start = time.monotonic()
-        cells = execute_specs(specs, workers=2, runner=_hanging_runner,
-                              timeout=1.0, retries=0)
+        cells = execute_specs(specs, workers=workers, runner=_hanging_runner,
+                              timeout=1.0, retries=0, backend=backend)
         elapsed = time.monotonic() - start
         assert elapsed < 30.0
         hung = cells[1]
         assert not hung.ok
         assert hung.failure.kind == "timeout"
+        assert hung.attempts == 1
         assert all(cell.ok for cell in cells if cell.index != 1)

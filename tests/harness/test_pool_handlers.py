@@ -59,9 +59,10 @@ class TestTaskEntrySend:
     def test_failure_ships_a_structured_error_record(self):
         conn = _FakeConn()
         _task_entry(_boom_runner, "p", conn)
-        kind, name, text, trace = conn.sent[0]
-        assert (kind, name) == ("error", "ValueError")
-        assert "boom" in text and "ValueError" in trace
+        status, failure = conn.sent[0]
+        assert (status, failure.kind) == ("error", "exception")
+        assert failure.message.startswith("ValueError: boom")
+        assert "ValueError" in failure.traceback
         assert conn.closed == 1
 
     @pytest.mark.parametrize("exc", [
