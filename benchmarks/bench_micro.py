@@ -80,7 +80,7 @@ def test_micro_message_generation(benchmark):
     rng = random.Random(3)
 
     def one_message():
-        return strategy.apply(model.build(rng), rng).encode()
+        return strategy.apply(model.build(), rng).encode()
 
     payload = benchmark(one_message)
     assert isinstance(payload, bytes)

@@ -104,9 +104,10 @@ class QuantificationReport:
     _best_scores: Dict[str, int] = field(default_factory=dict)
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Every checkpoint re-pickles the report, so its probe log goes
-        # out as plain rows: a dataclass reduce per record would repeat
-        # the class reference and a field-name dict thousands of times.
+        # A checkpoint stream writes the report once, into its base
+        # file; its probe log goes out as plain rows there, because a
+        # dataclass reduce per record would repeat the class reference
+        # and a field-name dict thousands of times.
         state = dict(self.__dict__)
         state["probes"] = [
             (record.assignment, record.branches, record.failed, record.sites)

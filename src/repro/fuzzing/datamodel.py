@@ -10,7 +10,6 @@ fields stay consistent unless a mutator deliberately corrupts them.
 
 from __future__ import annotations
 
-import random
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -198,9 +197,9 @@ class DataModel:
         self.name = name
         self.root = Block(name, children)
 
-    def build(self, rng: Optional[random.Random] = None) -> "Message":
+    def build(self) -> "Message":
         """Instantiate a concrete default message."""
-        return Message(self, rng=rng)
+        return Message(self)
 
     def leaf_paths(self) -> List[str]:
         """Dot-paths of every leaf under the default choice selections."""
@@ -241,9 +240,8 @@ class Message:
     and never pickled — it is re-resolved on unpickle.
     """
 
-    def __init__(self, model: DataModel, rng: Optional[random.Random] = None):
+    def __init__(self, model: DataModel):
         self.model = model
-        self.rng = rng or random.Random(0)
         template = _resolve_template(model)
         self._tpl = template
         #: Memoised selection state (template messages only) — resolved
@@ -381,10 +379,9 @@ class Message:
             # Skip __init__: the clone overwrites both dicts anyway.
             clone = Message.__new__(Message)
             clone.model = self.model
-            clone.rng = self.rng
             clone._tpl = template
         else:
-            clone = Message(self.model, rng=self.rng)
+            clone = Message(self.model)
         clone._state = self._state
         clone._clean = self._clean
         clone._values = dict(self._values)

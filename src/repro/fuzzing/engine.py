@@ -238,7 +238,7 @@ class FuzzEngine:
             candidates = self._corpus_by_model.get(model_name)
             if candidates:
                 return fastrand.choice(self.rng, candidates).copy()
-        return model.build(self.rng)
+        return model.build()
 
     def _choose_path(self) -> List[str]:
         if self.allowed_paths:

@@ -73,10 +73,16 @@ class StateModel:
                 raise FuzzingError("duplicate data model %r" % model.name)
             self._data_models[model.name] = model
         #: state name -> (targets, cum_weights, total, hi) for the
-        #: transition draw in :meth:`walk` (built lazily; plain
-        #: data, so it checkpoints along with the model).
+        #: transition draw in :meth:`walk` (built lazily, derived from
+        #: the transitions, never pickled: checkpoints write the model
+        #: once, so it must pickle the same before and after a walk).
         self._walk_cache: Dict[str, tuple] = {}
         self._validate()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_walk_cache"] = {}
+        return state
 
     def _validate(self) -> None:
         for state in self._states.values():

@@ -7,8 +7,9 @@ union across instances), triages crashes into a deduplicated bug ledger,
 and restarts crashed targets with the appropriate simulated downtime.
 
 With ``checkpoint_every`` set the loop additionally persists its entire
-state (one pickled object graph: engines, RNG streams, corpus, bug
-ledger, supervisor, scheduler cursors) at fixed simulated intervals, and
+state (one object graph: engines, RNG streams, corpus, bug ledger,
+supervisor, scheduler cursors; its set-up part and corpus seeds written
+once per checkpoint stream) at fixed simulated intervals, and
 SIGTERM/SIGINT trigger one final checkpoint before
 :class:`~repro.errors.CampaignInterrupted` unwinds the run; ``resume``
 continues from the newest intact save and the finished campaign is
@@ -367,13 +368,24 @@ def _save_checkpoint(store, state: _LoopState,
     fail-fast behaviour. Returns the blob path, or ``None`` when the
     save was skipped.
     """
-    telemetry = state.ctx.telemetry
+    ctx = state.ctx
+    telemetry = ctx.telemetry
+    state_model = ctx.state_model
+    # Set-up objects and corpus seeds are immutable: the store writes
+    # each once per stream and references it from later saves.
+    base = [state_model, *state_model.data_models(),
+            *state.mode.setup_objects()]
+    seeds = []
+    for instance in ctx.instances:
+        if instance.engine is not None:
+            seeds += instance.engine.corpus
+            seeds += instance.engine.sync_outbox
     try:
-        path = store.save(state, sim_time=state.ctx.clock.now,
-                          iterations=state.iterations)
+        path = store.save(state, sim_time=ctx.clock.now,
+                          iterations=state.iterations, base=base,
+                          seeds=seeds)
     except CheckpointError:
-        if getattr(state.ctx, "io_injector", None) is not None \
-                and state.ctx.io_injector.strict:
+        if ctx.io_injector.strict:
             raise
         telemetry.counter("checkpoint.skipped", reason=reason).inc()
         telemetry.event("checkpoint.skipped", reason=reason,
@@ -514,7 +526,7 @@ def _drive(state: _LoopState, config: CampaignConfig, store=None,
     metrics = telemetry.snapshot() if telemetry.enabled else None
     metrics = _strip_operational_metrics(metrics)
     telemetry.close()
-    injector = getattr(ctx, "io_injector", None)
+    injector = ctx.io_injector
     return CampaignResult(
         mode=mode.name,
         target=target_cls.NAME,
@@ -525,8 +537,7 @@ def _drive(state: _LoopState, config: CampaignConfig, store=None,
         iterations=state.iterations,
         supervisor_events=supervisor.events,
         metrics=metrics,
-        io_faults=(injector.summary()
-                   if injector is not None and injector.enabled else None),
+        io_faults=injector.summary() if injector.enabled else None,
     )
 
 

@@ -32,6 +32,15 @@ class ParallelMode:
     def create_instances(self, ctx) -> List[FuzzingInstance]:
         raise NotImplementedError
 
+    def setup_objects(self) -> List[object]:
+        """What :meth:`create_instances` built that the loop never mutates.
+
+        Checkpoints write these once per stream instead of once per
+        save, and restore them with identity intact; a mode that
+        mutates one after set-up must not list it. Default: nothing.
+        """
+        return []
+
     def after_iteration(self, ctx, instance: FuzzingInstance,
                         result: IterationResult) -> None:
         """Per-iteration hook; default: nothing."""

@@ -147,6 +147,13 @@ class CmFuzzMode(ParallelMode):
             instances.append(instance)
         return instances
 
+    def setup_objects(self) -> List[object]:
+        """The configuration and relation models, the allocation and the
+        quantification report: built once, read-only afterwards."""
+        return [obj for obj in (self.quantification_report, self.model,
+                                self.relation_model, self.allocation)
+                if obj is not None]
+
     # -- adaptive configuration mutation ------------------------------------
 
     def on_sync(self, ctx) -> None:

@@ -61,7 +61,7 @@ class TestStrategyInvariants:
         strategy = RandomFieldStrategy(valid_ratio=0.0)
         rng = random.Random(seed)
         for model in pit_registry()["mosquitto"]().data_models():
-            mutated = strategy.apply(model.build(rng), rng)
+            mutated = strategy.apply(model.build(), rng)
             assert isinstance(mutated.encode(), bytes)
 
     @settings(max_examples=30, deadline=None)

@@ -223,3 +223,257 @@ class TestCampaignIntegration:
             self._run(config, abort_at=60)
         resumed = results(execute_specs([spec], workers=1))
         assert results_to_json(resumed) == reference
+
+
+class _Seed:
+    """A weak-referenceable stand-in for a corpus seed."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+class _Base:
+    """A stand-in for a set-up object (e.g. a data model)."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+def _names(store):
+    return sorted(name for name in os.listdir(store.directory)
+                  if name.endswith(".pkl"))
+
+
+def _seeds_in(store, name):
+    """The seeds a seeds file holds (they carry no base references)."""
+    with open(os.path.join(store.directory, name), "rb") as handle:
+        return [seed.value for seed in pickle.load(handle)]
+
+
+def _damage(store, name):
+    with open(os.path.join(store.directory, name), "r+b") as handle:
+        handle.truncate(5)
+
+
+class TestIncrementalLayout:
+    """Base and seeds are written once per stream, referenced after."""
+
+    def test_base_is_written_once_and_referenced(self, tmp_path):
+        store = _store(tmp_path)
+        model = _Base("model")
+        for round_number in range(3):
+            store.save({"model": model, "round": round_number},
+                       sim_time=600.0 * round_number,
+                       iterations=round_number, base=[model])
+        assert _names(store) == ["base-000001.pkl", "ckpt-000001.pkl",
+                                 "ckpt-000002.pkl", "ckpt-000003.pkl"]
+        payload = store.load_latest()
+        assert payload.state["round"] == 2
+        assert payload.state["model"].name == "model"
+        assert payload.requires == {
+            "base-000001.pkl": payload.requires["base-000001.pkl"]}
+
+    def test_each_seed_is_written_by_the_first_save_that_sees_it(
+            self, tmp_path):
+        store = _store(tmp_path)
+        a, b, c = _Seed("a"), _Seed("b"), _Seed("c")
+        store.save({"corpus": [a, b]}, sim_time=0.0, iterations=0,
+                   seeds=[a, b])
+        store.save({"corpus": [a, b, c]}, sim_time=600.0, iterations=1,
+                   seeds=[a, b, c])
+        store.save({"corpus": [a, b, c]}, sim_time=1200.0, iterations=2,
+                   seeds=[a, b, c])
+        assert _seeds_in(store, "seeds-000001.pkl") == ["a", "b"]
+        assert _seeds_in(store, "seeds-000002.pkl") == ["c"]
+        assert not os.path.exists(
+            os.path.join(store.directory, "seeds-000003.pkl"))
+        restored = store.load_latest().state["corpus"]
+        assert [seed.value for seed in restored] == ["a", "b", "c"]
+
+    def test_shared_references_keep_their_identity(self, tmp_path):
+        store = _store(tmp_path)
+        model, seed = _Base("model"), _Seed("s")
+        seed.model = model
+        store.save({"corpus": [seed], "by_model": {"m": [seed]},
+                    "model": model},
+                   sim_time=0.0, iterations=0, base=[model], seeds=[seed])
+        state = store.load_latest().state
+        assert state["by_model"]["m"][0] is state["corpus"][0]
+        assert state["corpus"][0].model is state["model"]
+
+    def test_resumed_store_writes_neither_base_nor_old_seeds(self, tmp_path):
+        first = _store(tmp_path)
+        model, a = _Base("model"), _Seed("a")
+        first.save({"model": model, "corpus": [a]}, sim_time=0.0,
+                   iterations=0, base=[model], seeds=[a])
+        resumed = _store(tmp_path)
+        state = resumed.load_latest().state
+        fresh = _Seed("b")
+        state["corpus"].append(fresh)
+        resumed.save(state, sim_time=600.0, iterations=1,
+                     base=[state["model"]], seeds=state["corpus"])
+        assert _names(resumed) == ["base-000001.pkl", "ckpt-000001.pkl",
+                                   "ckpt-000002.pkl", "seeds-000001.pkl",
+                                   "seeds-000002.pkl"]
+        assert _seeds_in(resumed, "seeds-000002.pkl") == ["b"]
+        again = resumed.load_latest().state
+        assert [seed.value for seed in again["corpus"]] == ["a", "b"]
+
+    def test_store_holds_no_strong_reference_to_a_seed(self, tmp_path):
+        import gc
+        import weakref
+
+        store = _store(tmp_path)
+        seed = _Seed("gone")
+        store.save({"corpus": [seed]}, sim_time=0.0, iterations=0,
+                   seeds=[seed])
+        watcher = weakref.ref(seed)
+        del seed
+        gc.collect()
+        assert watcher() is None
+
+    def test_a_new_seed_on_a_recycled_id_is_written(self, tmp_path):
+        import gc
+
+        store = _store(tmp_path)
+        old = _Seed("old")
+        store.save({"c": [old]}, sim_time=0.0, iterations=0, seeds=[old])
+        freed = id(old)
+        del old
+        gc.collect()
+        held = []
+        for _ in range(10_000):
+            new = _Seed("new")
+            if id(new) == freed:
+                break
+            held.append(new)
+        else:
+            pytest.skip("the allocator never reused the freed address")
+        store.save({"c": [new]}, sim_time=1.0, iterations=1, seeds=[new])
+        assert store.load_latest().state["c"][0].value == "new"
+
+    def test_keep_window_removes_exactly_the_unneeded_files(self, tmp_path):
+        store = _store(tmp_path, keep=2)
+        model = _Base("model")
+        corpus = []
+        for round_number in range(4):
+            # FIFO eviction: each save sees one new seed, the old one left.
+            corpus = [_Seed(round_number)]
+            store.save({"corpus": corpus}, sim_time=600.0 * round_number,
+                       iterations=round_number, base=[model], seeds=corpus)
+        assert _names(store) == ["base-000001.pkl", "ckpt-000003.pkl",
+                                 "ckpt-000004.pkl", "seeds-000003.pkl",
+                                 "seeds-000004.pkl"]
+        with open(os.path.join(store.directory, "MANIFEST.json")) as handle:
+            manifest = json.load(handle)
+        needed = set()
+        for entry in manifest["checkpoints"]:
+            needed.add(entry["file"])
+            needed.update(entry["requires"])
+        assert needed == set(_names(store))
+
+    def test_a_seed_still_live_keeps_its_file(self, tmp_path):
+        store = _store(tmp_path, keep=1)
+        kept = _Seed("kept")
+        store.save({"c": [kept]}, sim_time=0.0, iterations=0, seeds=[kept])
+        for round_number in range(3):
+            corpus = [kept, _Seed(round_number)]
+            store.save({"c": corpus}, sim_time=1.0 + round_number,
+                       iterations=1 + round_number, seeds=corpus)
+        assert "seeds-000001.pkl" in _names(store)
+        values = [seed.value for seed in store.load_latest().state["c"]]
+        assert values == ["kept", 2]
+
+
+class TestIncrementalCorruption:
+    """A damaged base or seeds file loses its saves, never the resume."""
+
+    def _two_bases(self, tmp_path):
+        """Save 1 on one base, save 2 (a fresh store) on another."""
+        one = _store(tmp_path)
+        old = _Base("old")
+        one.save({"round": 1, "base": old}, sim_time=0.0, iterations=0,
+                 base=[old])
+        two = _store(tmp_path)
+        new = _Base("new")
+        two.save({"round": 2, "base": new}, sim_time=600.0, iterations=1,
+                 base=[new])
+        assert _names(two) == ["base-000001.pkl", "base-000002.pkl",
+                               "ckpt-000001.pkl", "ckpt-000002.pkl"]
+        return two
+
+    def test_damaged_base_falls_back_to_an_older_entry(self, tmp_path):
+        store = self._two_bases(tmp_path)
+        _damage(store, "base-000002.pkl")
+        payload = store.load_latest()
+        assert payload.state["round"] == 1
+        assert payload.state["base"].name == "old"
+
+    def test_missing_base_falls_back_to_an_older_entry(self, tmp_path):
+        store = self._two_bases(tmp_path)
+        os.remove(os.path.join(store.directory, "base-000002.pkl"))
+        assert store.load_latest().state["round"] == 1
+
+    def test_damaged_shared_base_means_a_fresh_start(self, tmp_path):
+        store = _store(tmp_path)
+        model = _Base("model")
+        for round_number in range(2):
+            store.save({"round": round_number}, sim_time=0.0,
+                       iterations=round_number, base=[model])
+        _damage(store, "base-000001.pkl")
+        assert store.load_latest() is None
+
+    def _two_seed_files(self, tmp_path):
+        store = _store(tmp_path)
+        a, b = _Seed("a"), _Seed("b")
+        store.save({"corpus": [a]}, sim_time=0.0, iterations=0, seeds=[a])
+        store.save({"corpus": [a, b]}, sim_time=600.0, iterations=1,
+                   seeds=[a, b])
+        return store
+
+    def test_damaged_newest_seeds_falls_back_to_an_older_entry(
+            self, tmp_path):
+        store = self._two_seed_files(tmp_path)
+        _damage(store, "seeds-000002.pkl")
+        restored = store.load_latest().state["corpus"]
+        assert [seed.value for seed in restored] == ["a"]
+
+    def test_damaged_oldest_seeds_means_a_fresh_start(self, tmp_path):
+        store = self._two_seed_files(tmp_path)
+        _damage(store, "seeds-000001.pkl")
+        assert store.load_latest() is None
+
+    def test_scan_fallback_resolves_base_and_seeds(self, tmp_path):
+        store = _store(tmp_path)
+        model, a = _Base("model"), _Seed("a")
+        store.save({"corpus": [a], "model": model}, sim_time=0.0,
+                   iterations=0, base=[model], seeds=[a])
+        store.save({"corpus": [a], "model": model, "round": 2},
+                   sim_time=600.0, iterations=1, base=[model], seeds=[a])
+        os.remove(os.path.join(store.directory, "MANIFEST.json"))
+        state = store.load_latest().state
+        assert state["round"] == 2
+        assert state["corpus"][0].value == "a"
+        assert state["model"].name == "model"
+
+    def test_scan_fallback_skips_a_save_with_damaged_seeds(self, tmp_path):
+        store = self._two_seed_files(tmp_path)
+        os.remove(os.path.join(store.directory, "MANIFEST.json"))
+        _damage(store, "seeds-000002.pkl")
+        restored = store.load_latest().state["corpus"]
+        assert [seed.value for seed in restored] == ["a"]
+
+    def test_unresolved_reference_is_a_damaged_blob(self, tmp_path):
+        """A loop blob whose header drops a seeds file it references
+        cannot resolve its seeds: the save is skipped, not raised."""
+        store = self._two_seed_files(tmp_path)
+        path = os.path.join(store.directory, "ckpt-000002.pkl")
+        with open(path, "rb") as handle:
+            header = pickle.load(handle)
+            body = handle.read()
+        header.requires.pop("seeds-000002.pkl")
+        with open(path, "wb") as handle:
+            handle.write(pickle.dumps(header) + body)
+        os.remove(os.path.join(store.directory, "MANIFEST.json"))
+        restored = store.load_latest().state["corpus"]
+        assert [seed.value for seed in restored] == ["a"]

@@ -20,6 +20,7 @@ from repro.harness.checkpoint import (
     CheckpointStore,
 )
 from repro.faultplane import (
+    FAULT_CORRUPT,
     FAULT_TRANSIENT,
     BackoffPolicy,
     FaultInjector,
@@ -185,3 +186,101 @@ class TestLoadUnderFaults:
         # Whatever the weather did, only genuine saves ever surface.
         assert seen <= {1, 2}
         assert 2 in seen
+
+
+class _Seed:
+    def __init__(self, value):
+        self.value = value
+
+
+class _AimedPlan(FaultPlan):
+    """Faults every op at the named sites with ``kind``, when honoured."""
+
+    def __init__(self, sites, kind, limit=None):
+        super().__init__(seed=0, level=1.0)
+        object.__setattr__(self, "sites", tuple(sites))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "limit", limit)
+
+    def decide(self, site, op_index, kinds):
+        if site not in self.sites or self.kind not in kinds:
+            return None
+        if self.limit is not None and op_index >= self.limit:
+            return None
+        return self.kind
+
+
+def _aimed(sites, kind, limit=None):
+    return FaultInjector(plan=_AimedPlan(sites, kind, limit),
+                         backoff=BackoffPolicy(max_attempts=2))
+
+
+def _seeded_stream(tmp_path):
+    """Two saves over one base: seeds a (save 1) and b (save 2)."""
+    store = _store(tmp_path)
+    a, b = _Seed("a"), _Seed("b")
+    base = [_Seed("base")]
+    store.save({"corpus": [a]}, sim_time=0.0, iterations=0, base=base,
+               seeds=[a])
+    store.save({"corpus": [a, b]}, sim_time=600.0, iterations=1, base=base,
+               seeds=[a, b])
+    return store, (a, b, base)
+
+
+class TestWriteOnceFilesUnderFaults:
+    @pytest.mark.parametrize("site", ["checkpoint.base.save",
+                                      "checkpoint.seeds.save"])
+    def test_exhausted_write_fails_the_save_and_registers_nothing(
+            self, tmp_path, site):
+        seed, base = _Seed("s"), [_Seed("base")]
+        flaky = _store(tmp_path, injector=_aimed([site], FAULT_TRANSIENT))
+        with pytest.raises(CheckpointError):
+            flaky.save({"corpus": [seed]}, sim_time=0.0, iterations=0,
+                       base=base, seeds=[seed])
+        # Nothing counts as written: the healthy retry writes both again.
+        flaky.injector = FaultInjector()
+        flaky.save({"corpus": [seed]}, sim_time=0.0, iterations=0,
+                   base=base, seeds=[seed])
+        # A file the failed save did write is an orphan the healthy
+        # save's pruning removes.
+        names = sorted(os.listdir(flaky.directory))
+        suffix = names[1][len("base-"):]
+        assert names == ["MANIFEST.json", "base-" + suffix,
+                         "ckpt-" + suffix, "seeds-" + suffix]
+        assert flaky.load_latest().state["corpus"][0].value == "s"
+
+    @pytest.mark.parametrize("site", ["checkpoint.base.save",
+                                      "checkpoint.seeds.save"])
+    def test_transient_write_retries_through(self, tmp_path, site):
+        seed = _Seed("s")
+        injector = _aimed([site], FAULT_TRANSIENT, limit=1)
+        store = _store(tmp_path, injector=injector)
+        store.save({"corpus": [seed]}, sim_time=0.0, iterations=0,
+                   base=[_Seed("base")], seeds=[seed])
+        assert injector.summary()["injected"][site] == {FAULT_TRANSIENT: 1}
+        assert store.load_latest().state["corpus"][0].value == "s"
+
+    @pytest.mark.parametrize("kind", [FAULT_CORRUPT, FAULT_TRANSIENT])
+    def test_persistent_seeds_read_fault_falls_back(self, tmp_path, kind):
+        _seeded_stream(tmp_path)
+        # Seeds files that stay unreadable lose every save needing them;
+        # one damaged read is re-read and costs nothing.
+        flaky = _store(tmp_path,
+                       injector=_aimed(["checkpoint.seeds.load"], kind))
+        assert flaky.load_latest() is None
+        one_shot = _store(
+            tmp_path, injector=_aimed(["checkpoint.seeds.load"], kind,
+                                      limit=1))
+        restored = one_shot.load_latest().state["corpus"]
+        assert [seed.value for seed in restored] == ["a", "b"]
+
+    @pytest.mark.parametrize("kind", [FAULT_CORRUPT, FAULT_TRANSIENT])
+    def test_base_read_faults_never_raise(self, tmp_path, kind):
+        _seeded_stream(tmp_path)
+        flaky = _store(tmp_path,
+                       injector=_aimed(["checkpoint.base.load"], kind))
+        assert flaky.load_latest() is None
+        one_shot = _store(
+            tmp_path, injector=_aimed(["checkpoint.base.load"], kind,
+                                      limit=1))
+        assert one_shot.load_latest().sequence == 2

@@ -20,8 +20,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CampaignInterrupted
-from repro.faultplane import FaultPlan, _unit
+from repro.faultplane import (
+    FAULT_CORRUPT,
+    FAULT_TRANSIENT,
+    FaultInjector,
+    FaultPlan,
+    _unit,
+)
 from repro.harness.campaign import CampaignConfig, run_campaign
+from repro.harness.checkpoint import CheckpointStore
 from repro.harness.executor import execute_specs, results, specs_for_repeated
 from repro.harness.export import results_to_json
 from repro.parallel import create_mode, mode_names
@@ -178,6 +185,59 @@ class TestStorm:
                              strict=True)
             result = _run("peach", config)
             assert results_to_json([result]) == _baseline("peach", 2)
+
+
+#: The fault-plane sites of the files a checkpoint stream writes once.
+_WRITE_ONCE_SITES = ("checkpoint.base.", "checkpoint.seeds.")
+
+
+@dataclasses.dataclass(frozen=True)
+class _WriteOncePlan(FaultPlan):
+    """A storm of one fault kind aimed only at the base and seeds files
+    (their writes, their reads, or both, as the kind allows)."""
+
+    kind: str = FAULT_TRANSIENT
+
+    def decide(self, site, op_index, kinds):
+        if not site.startswith(_WRITE_ONCE_SITES) or self.kind not in kinds:
+            return None
+        if _unit(self.seed, site, op_index, "inject") >= self.level:
+            return None
+        return self.kind
+
+
+class TestStormOnWriteOnceFiles:
+    """Transient and corrupt faults aimed at the base and seeds files
+    through kill-and-resume: same bytes as the fault-free run."""
+
+    @pytest.mark.parametrize("kind", (FAULT_TRANSIENT, FAULT_CORRUPT))
+    @pytest.mark.parametrize("mode_name", _ALL_MODES)
+    def test_kill_and_resume_under_aimed_faults(self, mode_name, kind,
+                                                monkeypatch):
+        seed = 4
+        baseline = _baseline(mode_name, seed)
+        plan = _WriteOncePlan(seed=21, level=0.5, kind=kind)
+        monkeypatch.setattr(
+            FaultInjector, "from_campaign_config",
+            classmethod(lambda cls, config: cls(plan=plan)))
+        restored = []
+        load_latest = CheckpointStore.load_latest
+        monkeypatch.setattr(
+            CheckpointStore, "load_latest",
+            lambda store: restored.append(load_latest(store)) or restored[-1])
+        with tempfile.TemporaryDirectory() as tmpdir:
+            config = _config(tmpdir, seed)
+            with pytest.raises(CampaignInterrupted):
+                run_campaign(
+                    get_target("dnsmasq").target_cls,
+                    pit_registry()["dnsmasq"](), create_mode(mode_name),
+                    config, abort_hook=lambda iterations, now: now >= 2400)
+            resumed = _run(mode_name, dataclasses.replace(config, resume=True))
+        assert results_to_json([resumed]) == baseline
+        assert restored[0] is not None, "the resume started fresh"
+        injected = resumed.io_faults["injected"]
+        assert any(site.startswith(_WRITE_ONCE_SITES) for site in injected)
+        assert all(site.startswith(_WRITE_ONCE_SITES) for site in injected)
 
 
 #: The executor backend the cross-worker storm legs run against.
