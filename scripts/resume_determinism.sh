@@ -6,10 +6,12 @@
 # completion; (2) run the same campaign with --checkpoint-every and
 # SIGTERM it mid-run (expect exit 75, the EX_TEMPFAIL "rerun with
 # --resume" code); (3) --resume it to completion; (4) byte-compare the
-# two export files. A second leg repeats (2)-(4) with the
-# infrastructure fault plane switched on (--io-chaos-level):
-# kill-and-resume under injected I/O faults must still reproduce the
-# fault-free reference byte for byte.
+# two export files. A second leg replaces the SIGTERM with SIGKILL
+# once a periodic checkpoint is on disk: no interrupt save is written,
+# so the resume starts from the last loop blob whose link committed. A
+# third leg repeats (2)-(4) with the infrastructure fault plane switched
+# on (--io-chaos-level): kill-and-resume under injected I/O faults must
+# still reproduce the fault-free reference byte for byte.
 #
 # Fleet backend (CMFUZZ_RD_BACKEND=fleet) flow: the same gate through
 # the distributed control plane. The reference is the identical grid on
@@ -82,6 +84,42 @@ kill_and_resume() {
         --resume --export "$export_path"
 }
 
+# sigkill_and_resume <label> <cache-dir> <export-path>
+# Starts the campaign, waits for its first periodic checkpoint, SIGKILLs
+# it (expects exit 137: no interrupt save), then resumes it to
+# completion into the same export path.
+sigkill_and_resume() {
+    local label=$1 cache=$2 export_path=$3
+
+    echo "== $label: checkpointing run, SIGKILLed mid-campaign"
+    CMFUZZ_CACHE_DIR="$cache" python -m repro "${ARGS[@]}" \
+        --export "$export_path" &
+    local pid=$!
+    until compgen -G "$cache/checkpoints/*/ckpt-*.pkl" > /dev/null; do
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "FAIL: the campaign ended before its first checkpoint" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    sleep 0.5
+    kill -KILL "$pid" 2>/dev/null || true
+    set +e
+    wait "$pid"
+    local code=$?
+    set -e
+    if [ "$code" -ne 137 ]; then
+        echo "FAIL: expected SIGKILL exit code 137, got $code" >&2
+        echo "(the campaign may have finished before the SIGKILL landed;" >&2
+        echo " raise --hours)" >&2
+        exit 1
+    fi
+
+    echo "== $label: resumed from the last periodic checkpoint"
+    CMFUZZ_CACHE_DIR="$cache" python -m repro "${ARGS[@]}" \
+        --resume --export "$export_path"
+}
+
 run_local_gate() {
     echo "== uninterrupted reference run"
     CMFUZZ_CACHE_DIR="$WORK/cache-ref" python -m repro "${ARGS[@]}" \
@@ -95,6 +133,15 @@ run_local_gate() {
         exit 1
     fi
     echo "resume determinism: OK (exports byte-identical)"
+
+    sigkill_and_resume "sigkill" "$WORK/cache-sigkill" "$WORK/sigkilled.json"
+
+    echo "== byte-comparing the SIGKILL-resumed export against the reference"
+    if ! diff "$WORK/reference.json" "$WORK/sigkilled.json"; then
+        echo "FAIL: resume after SIGKILL differs from the uninterrupted run" >&2
+        exit 1
+    fi
+    echo "resume determinism after SIGKILL: OK (exports byte-identical)"
 
     kill_and_resume "io-storm" "$WORK/cache-storm" "$WORK/stormed.json" \
         --io-chaos-level 0.3 --io-chaos-seed 7

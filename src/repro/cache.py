@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import pickle
+import tempfile
 import uuid
 from typing import Any, Dict, Optional, Set
 
@@ -116,12 +117,37 @@ def validate_cache_dir(root: str) -> str:
     return root
 
 
-def atomic_pickle(path: str, payload: Any) -> None:
-    """Write ``payload`` pickled to ``path`` atomically (temp + rename)."""
-    temp = "%s.tmp.%d" % (path, os.getpid())
-    with open(temp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(temp, path)
+def atomic_write(path: str, data: bytes, replace: bool = True) -> bool:
+    """Write ``data`` to ``path`` atomically: a temp file, then a rename.
+
+    The temp file is unique (``tempfile.mkstemp`` in the target
+    directory, named ``<file>.<random>.tmp``), so writers in other
+    threads or processes never share one, and a reader sees either the
+    old file or the whole new one. With ``replace=False`` the rename is
+    a hard link that never clobbers: when ``path`` already exists it is
+    left alone and the call returns ``False``.
+    """
+    directory, name = os.path.split(path)
+    fd, temp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
+                                dir=directory or None)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        if replace:
+            os.replace(temp, path)
+            temp = None
+            return True
+        try:
+            os.link(temp, path)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        if temp is not None:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
 
 
 def _read_bytes(path: str) -> Optional[bytes]:
@@ -192,10 +218,11 @@ class FaultTolerantStore:
         if self.degraded:
             self._memory[path] = payload
             return
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             self.injector.run(
                 "cache.%s.write" % self.name,
-                lambda: atomic_pickle(path, payload),
+                lambda: atomic_write(path, blob),
                 kinds=(FAULT_TRANSIENT, FAULT_SLOW),
             )
         except IoGiveUp as exc:

@@ -143,6 +143,14 @@ class CoverageCollector:
         self.start_run()
         self.total = IndexedCoverageMap(self.interner)
 
+    def __getstate__(self):
+        # The two memo tables only cache what the interner already
+        # holds and refill on first use, so checkpoints leave them out.
+        state = self.__dict__.copy()
+        state["_entries"] = {}
+        state["_branch_entries"] = {}
+        return state
+
     def __repr__(self) -> str:
         return "CoverageCollector(component=%r, total=%d)" % (
             self.component,

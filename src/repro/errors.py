@@ -71,7 +71,7 @@ class CheckpointError(HarnessError):
 class SchemaVersionError(ReproError):
     """Raised when a persisted artifact carries an incompatible schema.
 
-    Covers both checkpoint manifests and export JSON: rather than
+    Covers both checkpoint blobs and export JSON: rather than
     mis-deserializing state written by an older (or newer) layout, the
     loader refuses with the found vs. supported version spelled out.
     """

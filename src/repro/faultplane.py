@@ -127,7 +127,7 @@ def corrupt_bytes(blob: Optional[bytes]) -> Optional[bytes]:
     """Deterministically damage a read payload (the corrupt-on-read fault).
 
     Zeroes the leading bytes, which breaks any pickle stream and any
-    sha256 manifest check while keeping the length plausible.
+    sha256 digest check while keeping the length plausible.
     """
     if blob is None:
         return None

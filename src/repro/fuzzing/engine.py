@@ -166,8 +166,15 @@ class FuzzEngine:
         #: per-iteration linear scan; eviction pops both in lockstep.
         self._corpus_by_model = {}
         #: Locally discovered seeds awaiting cross-instance broadcast;
-        #: drained by :class:`repro.parallel.sync.SeedSynchronizer`.
+        #: drained by :class:`repro.parallel.sync.SeedSynchronizer`. Each
+        #: entry is the corpus object itself (seeds are never mutated
+        #: once retained), and it stays empty while :attr:`share_seeds`
+        #: is off.
         self.sync_outbox: List[Message] = []
+        #: Whether :meth:`add_seed` queues seeds for broadcast. The
+        #: campaign turns it off for engines of a mode that owns no
+        #: synchronizer, whose outboxes nothing would ever drain.
+        self.share_seeds = True
         self.outbox_limit = outbox_limit
         self.sync_seeds_dropped = 0
         self.iterations = 0
@@ -199,7 +206,7 @@ class FuzzEngine:
 
     # -- corpus ------------------------------------------------------------
 
-    def _retain(self, message: Message) -> None:
+    def _retain(self, message: Message) -> Message:
         retained = message.copy()
         self.corpus.append(retained)
         self._corpus_by_model.setdefault(retained.model.name, []).append(retained)
@@ -208,22 +215,25 @@ class FuzzEngine:
             # The globally oldest seed is the oldest of its bucket too.
             del self._corpus_by_model[evicted.model.name][0]
         self._g_corpus.set(len(self.corpus))
+        return retained
 
     def add_seed(self, message: Message) -> None:
         """Add a locally discovered (or externally injected) seed.
 
-        The seed joins the replay corpus *and* the sync outbox, so the
-        synchronizer will eventually broadcast it to the other instances
-        exactly once. Seeds arriving *from* synchronisation must go
-        through :meth:`receive_seed` instead, or they would be
-        rebroadcast forever.
+        The engine retains one copy of ``message``. That copy joins the
+        replay corpus and, when :attr:`share_seeds` is on, the sync
+        outbox too, so the synchronizer will eventually broadcast it to
+        the other instances exactly once. Seeds arriving *from*
+        synchronisation must go through :meth:`receive_seed` instead,
+        or they would be rebroadcast forever.
         """
-        self._retain(message)
-        self.sync_outbox.append(message.copy())
-        if len(self.sync_outbox) > self.outbox_limit:
-            self.sync_outbox.pop(0)
-            self.sync_seeds_dropped += 1
-            self._c_sync_dropped.inc()
+        retained = self._retain(message)
+        if self.share_seeds:
+            self.sync_outbox.append(retained)
+            if len(self.sync_outbox) > self.outbox_limit:
+                self.sync_outbox.pop(0)
+                self.sync_seeds_dropped += 1
+                self._c_sync_dropped.inc()
         self._c_seeds_local.inc()
 
     def receive_seed(self, message: Message) -> None:

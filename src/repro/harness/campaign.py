@@ -331,8 +331,11 @@ def _fresh_state(target_cls, state_model: StateModel, mode: ParallelMode,
     with telemetry.span("campaign.setup", mode=mode.name,
                         target=target_cls.NAME):
         ctx.instances = mode.create_instances(ctx)
-    if config.chaos is not None and config.chaos.enabled:
-        for instance in ctx.instances:
+    share_seeds = mode.synchronizer is not None
+    chaos = config.chaos is not None and config.chaos.enabled
+    for instance in ctx.instances:
+        instance.share_seeds = share_seeds
+        if chaos:
             instance.target_wrapper = chaos_wrapper(
                 config.chaos, config.chaos_seed, instance.index
             )
@@ -372,7 +375,9 @@ def _save_checkpoint(store, state: _LoopState,
     telemetry = ctx.telemetry
     state_model = ctx.state_model
     # Set-up objects and corpus seeds are immutable: the store writes
-    # each once per stream and references it from later saves.
+    # each once per stream and references it from later saves. An
+    # outbox holds corpus objects, and seeds evicted from the corpus
+    # while still queued.
     base = [state_model, *state_model.data_models(),
             *state.mode.setup_objects()]
     seeds = []
@@ -578,8 +583,6 @@ def run_campaign(
             campaign_key(target_cls.NAME, mode.name, config),
             root=config.checkpoint_dir,
             keep=config.checkpoint_keep,
-            target=target_cls.NAME,
-            mode=mode.name,
             injector=FaultInjector.from_campaign_config(config),
         )
     state = None

@@ -25,37 +25,39 @@ Layout, under ``.cmfuzz-cache/checkpoints/<campaign-key>/``::
     base-000001.pkl     the set-up graph, written once per stream
     seeds-000001.pkl    the seeds first seen by save 1
     seeds-000002.pkl    the seeds first seen by save 2 (if any)
-    ckpt-000001.pkl     header (sequence, sim time, files needed and
-    ckpt-000002.pkl       their sha256) + the loop state, by reference
-    MANIFEST.json       schema_version, campaign key, and per save the
-                        sha256 of its loop blob and of every file it needs
+    ckpt-000001.pkl     header (schema version, campaign key, sequence,
+    ckpt-000002.pkl       sim time, each file it needs and that file's
+                          sha256) + the loop state, by reference
+                          + the sha256 of all the bytes before it
 
-References are written by a per-pickler ``dispatch_table`` that turns
-a base object or an already-written seed into a call of
-:func:`_base_ref` / :func:`_seed_ref`; loading resolves those names in
-``Unpickler.find_class`` against the files the header names. Every
-file is a local pickle whose sha256 is pinned by the manifest (and,
-for the base and seeds files, by the loop blob's own header): it is
-trusted exactly as far as the directory it lives in.
+There is no index file: the loop blobs are the stream. References are
+written by a per-pickler ``dispatch_table`` that turns a base object or
+an already-written seed into a call of :func:`_base_ref` /
+:func:`_seed_ref`; loading resolves those names in
+``Unpickler.find_class`` against the files the header names. Each file
+is a local pickle, verified before it is unpickled: the loop blob by its
+trailer, a base or seeds file by the digest its loop blob pins. DESIGN.md
+("Checkpoint & resume", Trust) states how far a stream is trusted.
 
 Durability contract:
 
-- every write is temp-file + ``os.replace`` (base, seeds, blob and
-  manifest), so a kill mid-save can never tear an entry; a save that
-  fails part-way leaves only unreferenced files, which the next save's
-  pruning removes;
-- :meth:`CheckpointStore.load_latest` verifies the loop blob and every
-  file it needs against their sha256 and falls back newest → oldest
-  when any of them is damaged; a corrupt manifest degrades to a
-  directory scan, which works because each loop blob names the files
-  it needs — resume never crashes on damaged state, it just loses at
-  most the damaged saves;
-- keep-N pruning deletes a base or seeds file once no kept save needs
-  it;
-- the manifest and every loop blob carry
-  :data:`CHECKPOINT_SCHEMA_VERSION`; a mismatch raises
+- every file is written to a unique temp file and linked into place
+  without clobbering, so a kill mid-save never tears a file and two
+  writers of one key never overwrite each other; the loop blob is
+  written last, and its link is the save's commit point — a save that
+  fails before it removes what it wrote;
+- :meth:`CheckpointStore.load_latest` scans the loop blobs newest →
+  oldest, verifies each with everything it needs, and falls back to the
+  next-older one when any of it is damaged — resume never crashes on
+  damaged state, it just loses at most the damaged saves;
+- the store keeps its keep-N window in memory: a steady-state save
+  pickles the loop state, writes the loop blob (and a seeds file when
+  it saw new seeds) and removes the files leaving its window — it lists
+  and reads nothing;
+- every loop blob carries :data:`CHECKPOINT_SCHEMA_VERSION`; a mismatch
+  (an older layout included) raises
   :class:`~repro.errors.SchemaVersionError` instead of
-  mis-deserializing an old layout.
+  mis-deserializing it.
 
 The campaign key hashes everything that determines the run (target,
 mode, config, seed) *except* the checkpoint/resume knobs themselves,
@@ -74,9 +76,14 @@ import re
 import shutil
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.cache import UNPICKLE_ERRORS, canonical_payload, default_cache_dir
+from repro.cache import (
+    UNPICKLE_ERRORS,
+    atomic_write,
+    canonical_payload,
+    default_cache_dir,
+)
 from repro.errors import CheckpointError, SchemaVersionError
 from repro.faultplane import (
     FAULT_CORRUPT,
@@ -95,8 +102,8 @@ __all__ = [
     "default_checkpoint_root",
 ]
 
-#: Bumped whenever the checkpoint blob or manifest layout changes; old
-#: artifacts are rejected with :class:`SchemaVersionError`, not guessed at.
+#: Bumped whenever the checkpoint layout changes; old artifacts are
+#: rejected with :class:`SchemaVersionError`, not guessed at.
 #: 2: the pickled campaign context gained the fault-plane injector.
 #: 3: the quantification report pickles its probe log as plain
 #: ``(assignment, branches, failed, sites)`` rows with shared site sets.
@@ -105,11 +112,14 @@ __all__ = [
 #: 5: the set-up graph and each corpus seed are written once per stream
 #: (base and seeds files); a loop blob is a header plus the loop state,
 #: referencing them.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: 6: no stream index file; each loop blob ends with the sha256 of its
+#: own bytes.
+CHECKPOINT_SCHEMA_VERSION = 6
 
-_MANIFEST_NAME = "MANIFEST.json"
-#: Every file a stream writes besides the manifest: kind and sequence.
-_FILE_PATTERN = re.compile(r"^(ckpt|base|seeds)-(\d+)\.pkl$")
+#: Every file a stream writes: kind, sequence, and for a temp file
+#: (see :func:`repro.cache.atomic_write`) its unique suffix.
+_FILE_PATTERN = re.compile(r"^(ckpt|base|seeds)-(\d+)\.pkl(\.\w+\.tmp)?$")
+_DIGEST_SIZE = hashlib.sha256().digest_size
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 _READ_KINDS = (FAULT_TRANSIENT, FAULT_SLOW, FAULT_CORRUPT)
 _WRITE_KINDS = (FAULT_TRANSIENT, FAULT_SLOW)
@@ -186,11 +196,12 @@ def _seed_ref(sequence: int, index: int):
 def _dumps(obj: Any, refs: Dict[int, tuple], types: Iterable[type]) -> bytes:
     """Pickle ``obj``, writing each object in ``refs`` as its reference.
 
-    ``refs`` maps ``id(target)`` to the reduction that stands in for
-    ``target``: a call of :func:`_base_ref` or :func:`_seed_ref`. The
-    dispatch table is consulted only for ``types``, the exact types of
-    those targets, so every other object pickles at C speed; an object
-    of such a type that is not in ``refs`` pickles normally.
+    ``refs`` maps ``id(target)`` to a pair whose second item is the
+    reduction that stands in for ``target``: a call of :func:`_base_ref`
+    or :func:`_seed_ref`. The dispatch table is consulted only for
+    ``types``, the exact types of those targets, so every other object
+    pickles at C speed; an object of such a type that is not in ``refs``
+    pickles normally.
     """
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=_PROTOCOL)
@@ -200,7 +211,7 @@ def _dumps(obj: Any, refs: Dict[int, tuple], types: Iterable[type]) -> bytes:
         ref = get(id(target))
         if ref is None:
             return target.__reduce_ex__(_PROTOCOL)
-        return ref
+        return ref[1]
 
     pickler.dispatch_table = dict.fromkeys(types, reduce)
     pickler.dump(obj)
@@ -242,33 +253,52 @@ def _loads(stream, base: List[Any], seeds: Dict[int, List[Any]]) -> Any:
     return _RefUnpickler(stream, base, seeds).load()
 
 
+def _pinned(sha: str, parse: Callable[[bytes], Any]) -> Callable[[bytes], Any]:
+    """``parse``, run only on bytes whose sha256 is ``sha``."""
+
+    def check(blob: bytes) -> Any:
+        if hashlib.sha256(blob).hexdigest() != sha:
+            raise pickle.UnpicklingError("sha256 mismatch")
+        return parse(blob)
+
+    return check
+
+
 class CheckpointStore:
     """Atomic keep-N checkpoint stream for one campaign key.
 
-    Writes are temp + rename (base and seeds files, then the loop blob,
-    then the manifest), loads verify sha256 digests and degrade newest
-    → oldest; ``clear()`` removes the stream once the campaign
-    completes, so a surviving directory always means "interrupted,
-    resumable".
+    A save writes its new seeds file (if any), then its loop blob, each
+    through a unique temp file and a no-clobber link; the blob's link
+    commits the save. Loads scan the loop blobs newest → oldest and
+    verify every byte before trusting it; ``clear()`` removes the
+    stream once the campaign completes, so a surviving directory always
+    means "interrupted, resumable".
 
-    The store remembers what it has written: the base objects (by
+    The store keeps its stream in memory: the base objects it wrote (by
     identity) and, through weak references, every live seed's file and
-    position. A store that restored a checkpoint remembers what it
-    loaded the same way, so the next save writes neither again.
+    position; the keep-N window of its saves with the files each needs;
+    and the next sequence. A store that restored a checkpoint remembers
+    what it loaded the same way, so the next save writes neither again.
+    Only the first save after construction or :meth:`load_latest` lists
+    the directory; it sweeps the older files it found that its window
+    does not need. Every later save removes only the files leaving its
+    window.
     """
 
     def __init__(self, key: str, root: Optional[str] = None, keep: int = 3,
-                 target: str = "", mode: str = "", injector=None):
+                 injector=None):
         if keep < 1:
             raise CheckpointError("need to keep at least one checkpoint")
         self.key = key
         self.root = root or default_checkpoint_root()
         self.directory = os.path.join(self.root, key)
         self.keep = keep
-        self.target = target
-        self.mode = mode
         self.injector = injector or NULL_INJECTOR
-        #: The written base: its objects, file name and sha256.
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop everything the store knows about its stream."""
+        #: The written base: its objects and ``(file name, sha256)``.
         self._base: List[Any] = []
         self._base_file: Optional[tuple] = None
         #: id(seed) -> (weak reference to the seed, the reduction that
@@ -278,50 +308,21 @@ class CheckpointStore:
         self._seeds: Dict[int, tuple] = {}
         #: seeds-file sequence -> (name, sha256), for files still needed.
         self._seed_files: Dict[int, tuple] = {}
-
-    # -- paths ---------------------------------------------------------------
-
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST_NAME)
+        #: The keep-N window, oldest first: (loop blob, files it needs).
+        self._window: List[Tuple[str, Tuple[str, ...]]] = []
+        #: The next sequence to claim; ``None`` until a save lists the
+        #: directory.
+        self._next: Optional[int] = None
+        #: The highest sequence :meth:`load_latest` saw on disk; the
+        #: first save sweeps only files up to it, so it never touches
+        #: what another writer of the key wrote since.
+        self._horizon: Optional[int] = None
+        #: Files the first save found and removes unless its window
+        #: needs them.
+        self._sweep: List[str] = []
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
-
-    # -- manifest ------------------------------------------------------------
-
-    def _read_manifest(self) -> Optional[dict]:
-        """The parsed manifest, ``None`` when absent or unreadable."""
-        try:
-            with open(self._manifest_path(), "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(manifest, dict):
-            return None
-        version = manifest.get("schema_version")
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                "checkpoint manifest %r" % self._manifest_path(),
-                version, CHECKPOINT_SCHEMA_VERSION,
-            )
-        return manifest
-
-    def _write_manifest(self, entries: List[dict]) -> None:
-        manifest = {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "campaign_key": self.key,
-            "target": self.target,
-            "mode": self.mode,
-            "checkpoints": entries,
-        }
-        path = self._manifest_path()
-        temp = "%s.tmp.%d" % (path, os.getpid())
-        # Unindented: ``json.dumps`` then encodes in C; the manifest
-        # grows with the seeds files every kept save pins.
-        text = json.dumps(manifest, sort_keys=True)
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp, path)
 
     # -- save ----------------------------------------------------------------
 
@@ -335,19 +336,70 @@ class CheckpointStore:
         written once, by the first save that sees it. Everything else
         reachable from ``state`` is pickled into the loop blob.
         """
-        os.makedirs(self.directory, exist_ok=True)
+        base, seeds = list(base), list(seeds)
         try:
-            manifest = self._read_manifest()
-        except SchemaVersionError:
-            # An old-layout stream cannot be extended; start it over.
-            manifest = None
-        entries = list(manifest.get("checkpoints", [])) if manifest else []
-        sequence = 1 + max(
-            [e.get("sequence", 0) for e in entries] + [self._scan_top()]
-        )
-        writes = []
+            if self._next is None:
+                self._open_stream()
+            while True:
+                sequence = self._next
+                writes, requires, base_file, tracked, seed_files = \
+                    self._prepare(state, sim_time, iterations, sequence,
+                                  base, seeds)
+                if self._commit(writes):
+                    break
+                # Another writer of this key holds the sequence.
+                self._next = sequence + 1
+        except (IoGiveUp, OSError) as exc:
+            raise CheckpointError("cannot write checkpoint %d under %r (%s)"
+                                  % (self._next or 0, self.directory, exc))
+        # Only a save whose loop blob is on disk counts as written.
+        self._base = base
+        self._base_file = base_file
+        self._seeds = tracked
+        self._seed_files = seed_files
+        self._next = sequence + 1
+        name = writes[-1][1]
+        self._window.append((name, tuple(requires)))
+        leaving = self._window[:-self.keep]
+        if leaving or self._sweep:
+            del self._window[:-self.keep]
+            needed = {file for blob, files in self._window
+                      for file in (blob,) + files}
+            doomed = set(self._sweep)
+            for blob, files in leaving:
+                doomed.add(blob)
+                doomed.update(files)
+            self._sweep = []
+            for file in doomed - needed:
+                try:
+                    os.remove(self._path(file))
+                except OSError:
+                    pass
+        return self._path(name)
 
-        base = list(base)
+    def _open_stream(self) -> None:
+        """First save of the store: list the directory once.
+
+        Sets the next sequence past everything on disk and queues for
+        the sweep each file up to the horizon: everything found, or
+        after a load only what that load saw.
+        """
+        os.makedirs(self.directory, exist_ok=True)
+        found = {}
+        for name in os.listdir(self.directory):
+            match = _FILE_PATTERN.match(name)
+            if match:
+                found[name] = int(match.group(2))
+        top = max(found.values(), default=0)
+        horizon = top if self._horizon is None else self._horizon
+        self._sweep = [name for name, sequence in found.items()
+                       if sequence <= horizon]
+        self._next = top + 1
+
+    def _prepare(self, state: Any, sim_time: float, iterations: int,
+                 sequence: int, base: List[Any], seeds: List[Any]) -> tuple:
+        """The files save ``sequence`` writes, and what it registers."""
+        writes = []
         base_file = self._base_file
         if len(base) != len(self._base) or any(
                 a is not b for a, b in zip(base, self._base)):
@@ -357,8 +409,8 @@ class CheckpointStore:
                 base_file = ("base-%06d.pkl" % sequence,
                              hashlib.sha256(blob).hexdigest())
                 writes.append(("checkpoint.base.save", base_file[0], blob))
-        refs = {id(obj): (_base_ref, (index,))
-                for index, obj in enumerate(base)}
+        base_refs = {id(obj): (obj, (_base_ref, (index,)))
+                     for index, obj in enumerate(base)}
         base_types = {type(obj) for obj in base}
 
         # Seeds this save sees: an already written one keeps its place,
@@ -366,18 +418,15 @@ class CheckpointStore:
         known = self._seeds
         tracked: Dict[int, tuple] = {}
         fresh: List[Any] = []
-        types = set(base_types)
         for seed in seeds:
             key = id(seed)
             entry = known.get(key)
-            if entry is None or entry[0]() is not seed:
-                if key in tracked:
-                    continue
-                entry = (weakref.ref(seed),
-                         (_seed_ref, (sequence, len(fresh))))
+            if entry is not None and entry[0]() is seed:
+                tracked[key] = entry
+            elif key not in tracked:
+                tracked[key] = (weakref.ref(seed),
+                                (_seed_ref, (sequence, len(fresh))))
                 fresh.append(seed)
-            tracked[key] = entry
-            types.add(type(seed))
         # A reduction's first argument is the sequence of the seeds file
         # holding the seed; this save needs every such file.
         seed_files = {seq: self._seed_files[seq]
@@ -386,13 +435,14 @@ class CheckpointStore:
                       if seq != sequence}
         if fresh:
             # Seeds reference base objects (their data models) only.
-            blob = _dumps(fresh, refs, base_types)
+            blob = _dumps(fresh, base_refs, base_types)
             seed_files[sequence] = ("seeds-%06d.pkl" % sequence,
                                     hashlib.sha256(blob).hexdigest())
             writes.append(("checkpoint.seeds.save", seed_files[sequence][0],
                            blob))
-        refs.update({key: reduction
-                     for key, (_, reduction) in tracked.items()})
+        refs = dict(tracked)
+        refs.update(base_refs)
+        types = base_types.union(map(type, seeds))
 
         requires = {}
         if base_file is not None:
@@ -409,75 +459,29 @@ class CheckpointStore:
         )
         blob = (pickle.dumps(header, protocol=_PROTOCOL)
                 + _dumps(state, refs, types))
-        name = "ckpt-%06d.pkl" % sequence
-        path = self._path(name)
-        entries = entries + [{
-            "file": name,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "sequence": sequence,
-            "sim_time": sim_time,
-            "iterations": iterations,
-            "requires": requires,
-        }]
-        entries = entries[-self.keep:]
+        blob += hashlib.sha256(blob).digest()
+        writes.append(("checkpoint.save", "ckpt-%06d.pkl" % sequence, blob))
+        return writes, requires, base_file, tracked, seed_files
 
+    def _commit(self, writes: List[tuple]) -> bool:
+        """Write new files in order, the loop blob last, under the fault
+        plane; ``False`` (having removed what it wrote) when one of the
+        names is already taken."""
+        written = []
         try:
-            for site, file_name, data in writes:
-                self._write(site, self._path(file_name), data)
-            self._write("checkpoint.save", path, blob,
-                        then=lambda: self._write_manifest(entries))
-        except (IoGiveUp, OSError) as exc:
-            raise CheckpointError(
-                "cannot write checkpoint %r (%s)" % (path, exc)
-            )
-        # Only a save that reached the manifest counts as written.
-        self._base = base
-        self._base_file = base_file
-        self._seeds = tracked
-        self._seed_files = seed_files
-        self._prune(entries)
-        return path
-
-    def _write(self, site: str, path: str, blob: bytes,
-               then: Optional[Callable[[], None]] = None) -> None:
-        """Write one file under the fault plane, temp + rename."""
-        temp = "%s.tmp.%d" % (path, os.getpid())
-
-        def write() -> None:
-            # Idempotent under retry: every write is temp + rename.
-            with open(temp, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp, path)
-            if then is not None:
-                then()
-
-        self.injector.run(site, write, kinds=_WRITE_KINDS)
-
-    def _scan_top(self) -> int:
-        """Highest sequence present on disk (manifest-independent)."""
-        top = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return top
-        for name in names:
-            match = _FILE_PATTERN.match(name)
-            if match:
-                top = max(top, int(match.group(2)))
-        return top
-
-    def _prune(self, entries: List[dict]) -> None:
-        """Delete files no save in the keep-N manifest window needs."""
-        kept = set()
-        for entry in entries:
-            kept.add(entry["file"])
-            kept.update(entry.get("requires", ()))
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        for name in names:
-            if _FILE_PATTERN.match(name) and name not in kept:
+            for site, name, data in writes:
+                if not self.injector.run(
+                        site,
+                        lambda: atomic_write(self._path(name), data,
+                                             replace=False),
+                        kinds=_WRITE_KINDS):
+                    return False
+                written.append(name)
+            written = []
+            return True
+        finally:
+            # A save that did not commit leaves nothing behind.
+            for name in written:
                 try:
                     os.remove(self._path(name))
                 except OSError:
@@ -485,9 +489,14 @@ class CheckpointStore:
 
     # -- load ----------------------------------------------------------------
 
-    def _read(self, site: str, path: str, expect_sha: Optional[str],
+    def _read(self, site: str, name: str,
               parse: Callable[[bytes], Any]) -> Any:
-        """``parse`` of one verified file, or ``None`` on any corruption."""
+        """``parse`` of one file, or ``None`` when it stays unreadable.
+
+        ``parse`` verifies the bytes and raises one of
+        :data:`~repro.cache.UNPICKLE_ERRORS` on any damage.
+        """
+        path = self._path(name)
 
         def read() -> Optional[bytes]:
             try:
@@ -509,9 +518,6 @@ class CheckpointStore:
                 return None
             if blob is None:
                 return None
-            if expect_sha is not None:
-                if hashlib.sha256(blob).hexdigest() != expect_sha:
-                    continue
             try:
                 return parse(blob)
             except UNPICKLE_ERRORS:
@@ -521,32 +527,51 @@ class CheckpointStore:
                 continue
         return None
 
-    def _load_entry(self, name: str,
-                    expect_sha: Optional[str]) -> Optional[CheckpointPayload]:
-        """One verified checkpoint with everything it needs, or ``None``."""
+    def _parse_blob(self, name: str, blob: bytes) -> tuple:
+        """A loop blob's header and the stream positioned at its state.
 
-        def parse_header(blob: bytes):
-            stream = io.BytesIO(blob)
-            return pickle.load(stream), stream
-
-        loaded = self._read("checkpoint.load", self._path(name), expect_sha,
-                            parse_header)
-        if loaded is None:
-            return None
-        header, stream = loaded
+        The trailing sha256 is checked before anything is unpickled. A
+        blob that fails it is damaged, unless its header names another
+        schema: a stream written by an older layout (which had no
+        trailer) raises :class:`SchemaVersionError` instead.
+        """
+        body = blob[:-_DIGEST_SIZE]
+        if hashlib.sha256(body).digest() != blob[-_DIGEST_SIZE:]:
+            try:
+                header = pickle.loads(blob)
+            except UNPICKLE_ERRORS:
+                header = None
+            if (isinstance(header, CheckpointPayload)
+                    and header.schema_version != CHECKPOINT_SCHEMA_VERSION):
+                raise SchemaVersionError("checkpoint %r" % self._path(name),
+                                         header.schema_version,
+                                         CHECKPOINT_SCHEMA_VERSION)
+            raise pickle.UnpicklingError("checkpoint %r fails its sha256"
+                                         % name)
+        stream = io.BytesIO(body)
+        header = pickle.load(stream)
         if not isinstance(header, CheckpointPayload):
-            return None
+            raise pickle.UnpicklingError("checkpoint %r has no header" % name)
         if header.schema_version != CHECKPOINT_SCHEMA_VERSION:
             raise SchemaVersionError("checkpoint %r" % self._path(name),
                                      header.schema_version,
                                      CHECKPOINT_SCHEMA_VERSION)
+        return header, stream
+
+    def _load_entry(self, name: str) -> Optional[CheckpointPayload]:
+        """One verified checkpoint with everything it needs, or ``None``."""
+        loaded = self._read("checkpoint.load", name,
+                            lambda blob: self._parse_blob(name, blob))
+        if loaded is None:
+            return None
+        header, stream = loaded
         if header.key != self.key or not isinstance(header.requires, dict):
             return None
         base_file = None
         seed_files: Dict[int, tuple] = {}
         for file_name, sha in header.requires.items():
             match = _FILE_PATTERN.match(str(file_name))
-            if match is None or not isinstance(sha, str):
+            if match is None or match.group(3) or not isinstance(sha, str):
                 return None
             kind, sequence = match.group(1), int(match.group(2))
             if kind == "base" and base_file is None:
@@ -557,16 +582,15 @@ class CheckpointStore:
                 return None
         base: List[Any] = []
         if base_file is not None:
-            base = self._read(
-                "checkpoint.base.load", self._path(base_file[0]), base_file[1],
-                pickle.loads)
+            base = self._read("checkpoint.base.load", base_file[0],
+                              _pinned(base_file[1], pickle.loads))
             if not isinstance(base, list):
                 return None
         seeds: Dict[int, List[Any]] = {}
         for sequence, (file_name, sha) in sorted(seed_files.items()):
             seeds[sequence] = self._read(
-                "checkpoint.seeds.load", self._path(file_name), sha,
-                lambda blob: _loads(io.BytesIO(blob), base, {}))
+                "checkpoint.seeds.load", file_name,
+                _pinned(sha, lambda blob: _loads(io.BytesIO(blob), base, {})))
             if not isinstance(seeds[sequence], list):
                 return None
         try:
@@ -583,42 +607,36 @@ class CheckpointStore:
             for index, seed in enumerate(listed)
         }
         self._seed_files = seed_files
+        self._window = [(name, tuple(header.requires))]
         header.state = state
         return header
 
     def load_latest(self) -> Optional[CheckpointPayload]:
         """The newest intact checkpoint, or ``None`` when there is none.
 
-        Tries manifest entries newest → oldest, skipping any save whose
-        loop blob, base file or seeds files fail their sha256 or
-        unpickling; when the manifest itself is damaged falls back to
-        scanning the directory, taking each loop blob's own list of the
-        files it needs. Only a schema-version mismatch raises — every
+        Tries the loop blobs on disk newest → oldest, skipping any save
+        whose loop blob, base file or seeds files fail their sha256 or
+        unpickling. Only a schema-version mismatch raises — every
         corruption mode degrades silently to an older save (or a fresh
-        start).
+        start). The store then continues the stream from what it
+        loaded.
         """
-        manifest = self._read_manifest()
-        if manifest is not None:
-            for entry in reversed(manifest.get("checkpoints", [])):
-                if not isinstance(entry, dict):
-                    continue
-                payload = self._load_entry(str(entry.get("file")),
-                                           entry.get("sha256"))
-                if payload is not None:
-                    return payload
-            return None
-        # Manifest missing/corrupt: recover what the blobs themselves hold.
+        self._forget()
         try:
             names = os.listdir(self.directory)
         except OSError:
-            return None
-        candidates = sorted(
-            (int(m.group(2)), name)
-            for name in names
-            for m in [_FILE_PATTERN.match(name)] if m and m.group(1) == "ckpt"
-        )
-        for _, name in reversed(candidates):
-            payload = self._load_entry(name, None)
+            names = []
+        blobs = []
+        self._horizon = 0
+        for name in names:
+            match = _FILE_PATTERN.match(name)
+            if match:
+                sequence = int(match.group(2))
+                self._horizon = max(self._horizon, sequence)
+                if match.group(1) == "ckpt" and not match.group(3):
+                    blobs.append((sequence, name))
+        for _, name in sorted(blobs, reverse=True):
+            payload = self._load_entry(name)
             if payload is not None:
                 return payload
         return None
@@ -628,3 +646,4 @@ class CheckpointStore:
     def clear(self) -> None:
         """Drop the stream (the campaign completed; nothing to resume)."""
         shutil.rmtree(self.directory, ignore_errors=True)
+        self._forget()

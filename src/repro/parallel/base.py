@@ -29,6 +29,11 @@ class ParallelMode:
 
     name = "abstract"
 
+    #: The mode's :class:`~repro.parallel.sync.SeedSynchronizer`, or
+    #: ``None`` for a mode whose instances share no seeds: the campaign
+    #: then has its engines queue nothing for broadcast.
+    synchronizer = None
+
     def create_instances(self, ctx) -> List[FuzzingInstance]:
         raise NotImplementedError
 

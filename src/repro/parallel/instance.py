@@ -48,6 +48,10 @@ class FuzzingInstance:
         self._bound_port: Optional[int] = None
         self._engine_factory = engine_factory
         self.engine: Optional[FuzzEngine] = None
+        #: Whether this instance's engine queues its seeds for
+        #: broadcast; the campaign sets it from its mode (see
+        #: :attr:`repro.parallel.base.ParallelMode.synchronizer`).
+        self.share_seeds = True
 
     # -- lifecycle -------------------------------------------------------
 
@@ -74,6 +78,8 @@ class FuzzingInstance:
         transport = ChannelTransport(self.channel, target)
         if self.engine is None:
             self.engine = self._engine_factory(transport, self.collector)
+            if not self.share_seeds:
+                self.engine.share_seeds = False
         else:
             self.engine.transport = transport
 

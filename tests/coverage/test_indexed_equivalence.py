@@ -276,6 +276,13 @@ def test_collector_pickle_round_trip():
     assert restored.run_new == collector.run_new
     assert restored.total.as_dict() == collector.total.as_dict()
     assert restored.run.as_dict() == collector.run.as_dict()
+    # The memo tables are left out of the pickle and refill on use
+    # without interning a known site twice.
+    assert restored._entries == {} and restored._branch_entries == {}
+    for target in (restored, collector):
+        target.hit("after-run")
+        target.branch("site1", True)
+    assert len(restored.interner) == len(collector.interner)
     # The restored collector keeps collecting consistently.
     restored.hit("after-restore")
     collector.hit("after-restore")

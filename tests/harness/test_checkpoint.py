@@ -1,13 +1,15 @@
 """The checkpoint store: atomicity, corruption fallback, versioning.
 
-The durability contract under test: every write is temp+rename, loads
-verify sha256 digests and degrade newest → oldest on any corruption
-(manifest damage falls back to a directory scan), and only a genuine
+The durability contract under test: every write is temp + no-clobber
+link, loads scan the loop blobs newest → oldest, verify sha256 digests
+(each loop blob's own trailer, and the digests it pins for its base and
+seeds files) and degrade on any corruption, and only a genuine
 schema-version mismatch raises — damaged state never crashes a resume,
 it just loses at most the damaged saves.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -98,6 +100,9 @@ class TestCorruptionFallback:
         assert store.load_latest().state == {"round": 1}
 
     def test_corrupt_manifest_degrades_to_directory_scan(self, tmp_path):
+        """The stream has no index to damage: a stray, unparsable index
+        file left by an older layout changes nothing, and the scan still
+        finds the newest save."""
         store = _store(tmp_path)
         store.save({"round": 1}, sim_time=600.0, iterations=20)
         store.save({"round": 2}, sim_time=1200.0, iterations=40)
@@ -114,22 +119,49 @@ class TestCorruptionFallback:
         assert store.load_latest() is None
 
 
+def _write_old_layout(store, version):
+    """Plant a stream as schema 5 wrote it: an index file and a loop
+    blob of header + state with no sha256 trailer."""
+    os.makedirs(store.directory, exist_ok=True)
+    blob = pickle.dumps(CheckpointPayload(
+        schema_version=version, key=store.key, sequence=1, sim_time=0.0,
+        iterations=0, state=None)) + pickle.dumps({"round": 1})
+    with open(os.path.join(store.directory, "ckpt-000001.pkl"), "wb") as handle:
+        handle.write(blob)
+    with open(os.path.join(store.directory, "MANIFEST.json"), "w") as handle:
+        json.dump({"schema_version": version, "campaign_key": store.key,
+                   "checkpoints": [{
+                       "file": "ckpt-000001.pkl", "sequence": 1,
+                       "sha256": hashlib.sha256(blob).hexdigest()}]},
+                  handle)
+
+
 class TestSchemaVersioning:
     @pytest.mark.parametrize("old_version", [0, CHECKPOINT_SCHEMA_VERSION - 1],
                              ids=["zero", "previous"])
     def test_old_manifest_version_is_rejected(self, tmp_path, old_version):
         store = _store(tmp_path)
-        store.save({"round": 1}, sim_time=0.0, iterations=0)
-        path = os.path.join(store.directory, "MANIFEST.json")
-        with open(path) as handle:
-            manifest = json.load(handle)
-        manifest["schema_version"] = old_version
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
+        _write_old_layout(store, old_version)
         with pytest.raises(SchemaVersionError) as excinfo:
             store.load_latest()
         assert excinfo.value.found == old_version
         assert excinfo.value.supported == CHECKPOINT_SCHEMA_VERSION
+
+    def test_resume_over_an_old_layout_raises(self, tmp_path):
+        """``--resume`` over a schema-5 stream refuses instead of
+        silently starting the campaign over."""
+        root = str(tmp_path / "ck")
+        config = CampaignConfig(n_instances=2, duration_hours=1.0, seed=3,
+                                checkpoint_every=600.0, checkpoint_dir=root,
+                                resume=True)
+        _write_old_layout(
+            CheckpointStore(campaign_key("dnsmasq", "cmfuzz", config),
+                            root=root),
+            CHECKPOINT_SCHEMA_VERSION - 1)
+        with pytest.raises(SchemaVersionError):
+            run_campaign(get_target("dnsmasq").target_cls,
+                         pit_registry()["dnsmasq"](), create_mode("cmfuzz"),
+                         config)
 
     def test_old_blob_version_is_rejected_on_scan(self, tmp_path):
         store = _store(tmp_path)
@@ -250,6 +282,12 @@ def _seeds_in(store, name):
         return [seed.value for seed in pickle.load(handle)]
 
 
+def _header(store, name):
+    """A loop blob's header (the first pickle in the file)."""
+    with open(os.path.join(store.directory, name), "rb") as handle:
+        return pickle.load(handle)
+
+
 def _damage(store, name):
     with open(os.path.join(store.directory, name), "r+b") as handle:
         handle.truncate(5)
@@ -364,13 +402,12 @@ class TestIncrementalLayout:
         assert _names(store) == ["base-000001.pkl", "ckpt-000003.pkl",
                                  "ckpt-000004.pkl", "seeds-000003.pkl",
                                  "seeds-000004.pkl"]
-        with open(os.path.join(store.directory, "MANIFEST.json")) as handle:
-            manifest = json.load(handle)
         needed = set()
-        for entry in manifest["checkpoints"]:
-            needed.add(entry["file"])
-            needed.update(entry["requires"])
-        assert needed == set(_names(store))
+        for name in _names(store):
+            if name.startswith("ckpt-"):
+                needed.add(name)
+                needed.update(_header(store, name).requires)
+        assert needed == set(os.listdir(store.directory))
 
     def test_a_seed_still_live_keeps_its_file(self, tmp_path):
         store = _store(tmp_path, keep=1)
@@ -389,12 +426,14 @@ class TestIncrementalCorruption:
     """A damaged base or seeds file loses its saves, never the resume."""
 
     def _two_bases(self, tmp_path):
-        """Save 1 on one base, save 2 (a fresh store) on another."""
+        """Save 1 on one base, save 2 (a store that resumed the stream)
+        on another."""
         one = _store(tmp_path)
         old = _Base("old")
         one.save({"round": 1, "base": old}, sim_time=0.0, iterations=0,
                  base=[old])
         two = _store(tmp_path)
+        two.load_latest()
         new = _Base("new")
         two.save({"round": 2, "base": new}, sim_time=600.0, iterations=1,
                  base=[new])
@@ -450,16 +489,15 @@ class TestIncrementalCorruption:
                    iterations=0, base=[model], seeds=[a])
         store.save({"corpus": [a], "model": model, "round": 2},
                    sim_time=600.0, iterations=1, base=[model], seeds=[a])
-        os.remove(os.path.join(store.directory, "MANIFEST.json"))
-        state = store.load_latest().state
+        state = _store(tmp_path).load_latest().state
         assert state["round"] == 2
         assert state["corpus"][0].value == "a"
         assert state["model"].name == "model"
 
     def test_scan_fallback_skips_a_save_with_damaged_seeds(self, tmp_path):
         store = self._two_seed_files(tmp_path)
-        os.remove(os.path.join(store.directory, "MANIFEST.json"))
         _damage(store, "seeds-000002.pkl")
+        store = _store(tmp_path)
         restored = store.load_latest().state["corpus"]
         assert [seed.value for seed in restored] == ["a"]
 
@@ -472,8 +510,153 @@ class TestIncrementalCorruption:
             header = pickle.load(handle)
             body = handle.read()
         header.requires.pop("seeds-000002.pkl")
+        # A valid trailer: the reference layer, not the digest, is what
+        # must catch the dangling seed.
+        blob = pickle.dumps(header) + body[:-32]
         with open(path, "wb") as handle:
-            handle.write(pickle.dumps(header) + body)
-        os.remove(os.path.join(store.directory, "MANIFEST.json"))
+            handle.write(blob + hashlib.sha256(blob).digest())
         restored = store.load_latest().state["corpus"]
         assert [seed.value for seed in restored] == ["a"]
+
+
+def _intact(store, name):
+    """Whether loop blob ``name`` and every file it needs are on disk and
+    match their digests."""
+    try:
+        with open(os.path.join(store.directory, name), "rb") as handle:
+            blob = handle.read()
+    except FileNotFoundError:
+        return False
+    if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
+        return False
+    for needed, sha in pickle.loads(blob).requires.items():
+        try:
+            with open(os.path.join(store.directory, needed), "rb") as handle:
+                if hashlib.sha256(handle.read()).hexdigest() != sha:
+                    return False
+        except FileNotFoundError:
+            return False
+    return True
+
+
+class TestTwoWritersOnOneKey:
+    """A fleet cell whose lease expired runs on beside the replacement
+    that resumed from the shared checkpoint directory: two stores write
+    one key, in turns."""
+
+    def _step(self, store, corpus, round_number, model):
+        # The same campaign in both writers: FIFO eviction keeps the
+        # newest two seeds, so the saves drop seeds files as they go.
+        corpus[:] = corpus[-1:] + [_Seed(round_number)]
+        return os.path.basename(store.save(
+            {"corpus": list(corpus), "model": model, "round": round_number},
+            sim_time=600.0 * round_number, iterations=round_number,
+            base=[model], seeds=corpus))
+
+    def test_interleaved_saves_keep_both_streams_intact(self, tmp_path):
+        zombie = _store(tmp_path)
+        model = _Base("model")
+        zombie_corpus = []
+        newest = {}
+        for round_number in range(2):
+            newest[zombie] = self._step(zombie, zombie_corpus, round_number,
+                                        model)
+        replacement = _store(tmp_path)
+        state = replacement.load_latest().state
+        writers = ((zombie, zombie_corpus, model),
+                   (replacement, state["corpus"], state["model"]))
+        contents = {}
+        for round_number in range(2, 10):
+            for store, corpus, base in writers:
+                newest[store] = self._step(store, corpus, round_number, base)
+                # No file is ever written twice: nobody overwrote another
+                # writer's file, and every file either store still needs
+                # is on disk and intact.
+                for name in os.listdir(store.directory):
+                    with open(os.path.join(store.directory, name),
+                              "rb") as handle:
+                        data = handle.read()
+                    assert contents.setdefault(name, data) == data, name
+                for writer, blob in newest.items():
+                    assert _intact(writer, blob), blob
+                payload = _store(tmp_path).load_latest()
+                assert payload.state["round"] == round_number
+                assert [seed.value for seed in payload.state["corpus"]] == \
+                    [round_number - 1, round_number]
+
+
+class TestSteadyStateSaveIO:
+    """After the first save lists the directory, a save only writes its
+    new files and removes those leaving its keep-N window."""
+
+    def test_third_and_later_saves_list_and_read_nothing(
+            self, tmp_path, monkeypatch):
+        import builtins
+        import tempfile
+
+        store = _store(tmp_path, keep=2)
+        model = _Base("model")
+        corpus = []
+        expected_window = []
+
+        def save(round_number, new_seed):
+            if new_seed:
+                corpus[:] = corpus[-1:] + [_Seed(round_number)]
+            path = store.save({"corpus": list(corpus)},
+                              sim_time=600.0 * round_number,
+                              iterations=round_number, base=[model],
+                              seeds=corpus)
+            return os.path.basename(path)
+
+        for round_number in range(2):
+            expected_window.append(save(round_number, new_seed=True))
+
+        calls = {"listdir": 0, "open": 0, "makedirs": 0}
+        created, removed = [], []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        original_mkstemp = tempfile.mkstemp
+        original_remove = os.remove
+
+        def mkstemp(*args, **kwargs):
+            created.append(kwargs.get("prefix"))
+            return original_mkstemp(*args, **kwargs)
+
+        def remove(path):
+            removed.append(os.path.basename(path))
+            return original_remove(path)
+
+        for round_number in range(2, 8):
+            new_seed = round_number % 2 == 0
+            before = set(os.listdir(store.directory))
+            del created[:], removed[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "listdir", counting("listdir", os.listdir))
+                patch.setattr(os, "scandir", counting("listdir", os.scandir))
+                patch.setattr(os, "makedirs", counting("makedirs",
+                                                       os.makedirs))
+                patch.setattr(builtins, "open", counting("open", open))
+                patch.setattr(tempfile, "mkstemp", mkstemp)
+                patch.setattr(os, "remove", remove)
+                name = save(round_number, new_seed)
+            assert calls == {"listdir": 0, "open": 0, "makedirs": 0}
+            assert len(created) == (2 if new_seed else 1)
+            after = set(os.listdir(store.directory))
+            new_files = sorted(after - before)
+            assert name in new_files
+            assert len(new_files) == len(created)
+            # Every removal is a committed temp file or a file that left
+            # the window; what stays is exactly what the window needs.
+            expected_window = (expected_window + [name])[-2:]
+            needed = set()
+            for blob in expected_window:
+                needed.add(blob)
+                needed.update(_header(store, blob).requires)
+            assert after == needed
+            gone = before - after
+            assert {n for n in removed if not n.endswith(".tmp")} == gone

@@ -7,6 +7,7 @@ per member), and checkpoint saves gained the retry → skip-and-continue
 policy (``--strict-io`` restores fail-fast).
 """
 
+import hashlib
 import os
 import pickle
 
@@ -64,11 +65,15 @@ def _raise_on_restore(error_name):
 
 
 def _write_newest_blob(store, raw_bytes):
-    """Plant damaged bytes as a newer save than the one good checkpoint."""
+    """Plant damaged bytes as a newer save than the one good checkpoint.
+
+    The bytes get a valid sha256 trailer, so the digest check passes
+    and the unpickling layer is what has to catch them.
+    """
     store.save({"round": 1}, sim_time=600.0, iterations=20)
     path = store.save({"round": 2}, sim_time=1200.0, iterations=40)
     with open(path, "wb") as handle:
-        handle.write(raw_bytes)
+        handle.write(raw_bytes + hashlib.sha256(raw_bytes).digest())
     return path
 
 
@@ -76,9 +81,9 @@ class TestConcreteUnpickleErrors:
     """One regression test per member of the tightened error set.
 
     Each vector makes ``pickle.loads`` raise a *different* concrete
-    error; all of them must degrade to the previous good save. (The
-    manifest sha check is bypassed by scanning — the manifest is
-    removed — so the unpickling layer itself is what is exercised.)
+    error; all of them must degrade to the previous good save. (Each
+    vector carries a valid sha256 trailer, so the digest check passes
+    and the unpickling layer itself is what is exercised.)
     """
 
     def _assert_falls_back(self, tmp_path, raw_bytes, expected_error):
@@ -88,7 +93,6 @@ class TestConcreteUnpickleErrors:
         assert isinstance(excinfo.value, expected_error)
         store = _store(tmp_path)
         _write_newest_blob(store, raw_bytes)
-        os.remove(os.path.join(store.directory, "MANIFEST.json"))
         assert store.load_latest().state == {"round": 1}
 
     def test_unpickling_error_garbage_stream(self, tmp_path):
@@ -241,12 +245,12 @@ class TestWriteOnceFilesUnderFaults:
         flaky.injector = FaultInjector()
         flaky.save({"corpus": [seed]}, sim_time=0.0, iterations=0,
                    base=base, seeds=[seed])
-        # A file the failed save did write is an orphan the healthy
-        # save's pruning removes.
+        # The failed save removed the file it did write, and left no
+        # temp file behind.
         names = sorted(os.listdir(flaky.directory))
-        suffix = names[1][len("base-"):]
-        assert names == ["MANIFEST.json", "base-" + suffix,
-                         "ckpt-" + suffix, "seeds-" + suffix]
+        suffix = names[0][len("base-"):]
+        assert names == ["base-" + suffix, "ckpt-" + suffix,
+                         "seeds-" + suffix]
         assert flaky.load_latest().state["corpus"][0].value == "s"
 
     @pytest.mark.parametrize("site", ["checkpoint.base.save",

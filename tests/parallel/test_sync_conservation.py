@@ -8,6 +8,7 @@ every locally discovered seed reaches every other instance exactly once,
 only later if a round's cap defers it.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +152,30 @@ def test_every_seed_reaches_every_other_instance_exactly_once(
     assert synchronizer.broadcasts == sum(
         (len(counts) - 1) * count for count in counts
     )
+
+
+class TestOneCopyPerSeed:
+    """An engine keeps one copy of each seed it finds, and queues it for
+    broadcast only when its mode owns a synchronizer — a decision the
+    campaign takes from the mode, so hybrid (built through CMFuzz's
+    engine factory) still shares seeds."""
+
+    @pytest.mark.parametrize("mode_name, shares", [
+        ("cmfuzz", False), ("peach", False), ("plateau", False),
+        ("spfuzz", True), ("statemap", True), ("hybrid", True),
+    ])
+    def test_only_modes_that_sync_queue_seeds(self, mode_name, shares):
+        from repro.harness.campaign import _fresh_state
+        from repro.parallel import create_mode
+
+        state = _fresh_state(MosquittoTarget, state_model(),
+                             create_mode(mode_name),
+                             CampaignConfig(n_instances=2, seed=3))
+        for instance in state.ctx.instances:
+            engine = instance.engine
+            engine.add_seed(_seed_message())
+            if shares:
+                assert engine.sync_outbox == [engine.corpus[-1]]
+                assert engine.sync_outbox[0] is engine.corpus[-1]
+            else:
+                assert engine.sync_outbox == []

@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.cache import FaultTolerantStore, atomic_pickle
+from repro.cache import FaultTolerantStore, atomic_write
 from repro.faultplane import (
     FAULT_TRANSIENT,
     BackoffPolicy,
@@ -113,7 +113,7 @@ class TestDegradedMode:
             "probe", telemetry=telemetry,
             injector=_always_failing_injector(telemetry=telemetry))
         path = str(tmp_path / "entry.pkl")
-        atomic_pickle(path, "on disk")
+        atomic_write(path, pickle.dumps("on disk"))
         assert store.load(path) is None  # gave up; memory is empty
         assert store.degraded
         assert telemetry.counter("cache.degraded", cache="probe").value == 1
@@ -145,7 +145,7 @@ class TestInjectedCorruptRead:
         injector = FaultInjector(plan=FaultPlan(seed=0, level=1.0))
         store = FaultTolerantStore("probe", injector=injector)
         path = str(tmp_path / "entry.pkl")
-        atomic_pickle(path, "healthy")
+        atomic_write(path, pickle.dumps("healthy"))
         hits, misses = 0, 0
         for _ in range(20):
             if store.load(path) is None:
@@ -159,3 +159,68 @@ class TestInjectedCorruptRead:
         assert not os.path.exists(path + ".corrupt")
         with open(path, "rb") as handle:
             assert pickle.loads(handle.read()) == "healthy"
+
+
+class TestWritersInOneProcess:
+    """Fleet agents are threads of one process, and an overrun cell runs
+    on beside its replacement: threads writing one entry must never tear
+    it or trip over each other's temp file."""
+
+    def _race(self, write_and_read, rounds=300):
+        import sys
+        import threading
+
+        errors = []
+
+        def worker(tag):
+            try:
+                for round_number in range(rounds):
+                    write_and_read(tag, round_number)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        # More writers than cores, switching often.
+        threads = [threading.Thread(target=worker, args=(tag,))
+                   for tag in "abcd"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    def test_threads_never_share_a_temp_file(self, tmp_path):
+        path = str(tmp_path / "entry.pkl")
+
+        def write_and_read(tag, round_number):
+            atomic_write(path, pickle.dumps((tag, round_number, b"x" * 4096)))
+            with open(path, "rb") as handle:
+                assert pickle.loads(handle.read())[2] == b"x" * 4096
+
+        assert self._race(write_and_read) == []
+        assert [name for name in os.listdir(tmp_path)] == ["entry.pkl"]
+
+    def test_threads_keep_a_store_healthy(self, tmp_path):
+        store = FaultTolerantStore("result")
+        path = str(tmp_path / "entry.pkl")
+
+        def write_and_read(tag, round_number):
+            store.store(path, (tag, round_number, b"x" * 4096))
+            assert store.load(path)[2] == b"x" * 4096
+
+        assert self._race(write_and_read) == []
+        assert not store.degraded
+        assert not os.path.exists(path + ".corrupt")
+
+    def test_no_clobber_write_leaves_an_existing_file(self, tmp_path):
+        path = str(tmp_path / "entry.pkl")
+        assert atomic_write(path, b"first", replace=False)
+        assert not atomic_write(path, b"second", replace=False)
+        with open(path, "rb") as handle:
+            assert handle.read() == b"first"
+        assert os.listdir(tmp_path) == ["entry.pkl"]
