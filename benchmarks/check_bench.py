@@ -9,10 +9,11 @@ invariants, which no amount of runner noise can excuse:
 
 - ``modelbuild`` — the warm cache must execute zero probes and the
   pipeline variants must stay bit-identical;
-- ``engine`` — every leg's behaviour digest (final coverage map and
-  message count for a fixed seed and iteration budget) must equal the
-  committed baseline's, so a loop change that alters what the engine
-  does fails even when it runs faster;
+- ``engine`` — every leg's behaviour digest (per engine: the sorted
+  final coverage sites, the message, iteration and corpus counts and a
+  hash of the RNG state, for a fixed seed and iteration budget) must
+  equal the committed baseline's, so a loop change that alters what
+  the engine does fails even when it runs faster;
 - ``ablation`` — the record must cover every mode it claims the registry
   held (``registry_modes``), the adaptive extensions (``plateau``,
   ``statemap``) must be present, and every mode needs positive coverage,

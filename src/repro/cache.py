@@ -150,7 +150,7 @@ def atomic_write(path: str, data: bytes, replace: bool = True) -> bool:
                 pass
 
 
-def _read_bytes(path: str) -> Optional[bytes]:
+def read_bytes(path: str) -> Optional[bytes]:
     """Read a file, treating absence (a plain cache miss) as ``None``.
 
     ``FileNotFoundError`` is handled *inside* the closure so the fault
@@ -198,7 +198,7 @@ class FaultTolerantStore:
         try:
             blob = self.injector.run(
                 "cache.%s.read" % self.name,
-                lambda: _read_bytes(path),
+                lambda: read_bytes(path),
                 kinds=(FAULT_TRANSIENT, FAULT_SLOW, FAULT_CORRUPT),
                 on_corrupt=lambda _blob: None,
             )
@@ -253,3 +253,46 @@ class FaultTolerantStore:
                 self.name, path, type(exc).__name__, exc,
                 "quarantined to %s" % quarantined if quarantined
                 else "quarantine rename failed, entry left in place")
+
+
+class KeyedCache:
+    """One ``{version, key, outcome}`` pickle per key under ``root``.
+
+    The shared get/put of the result and probe caches. An entry counts
+    only when its stamped ``version`` and ``key`` match the lookup and
+    its outcome is an ``outcome_type``; anything else is a miss. The
+    root is validated at construction (see :func:`validate_cache_dir`)
+    and I/O runs through a :class:`FaultTolerantStore` named ``name``.
+    Subclasses set ``outcome_type`` and :attr:`version`.
+    """
+
+    #: The type every stored outcome must have.
+    outcome_type: type = object
+
+    def __init__(self, root: str, name: str, telemetry=None, injector=None):
+        self.root = validate_cache_dir(root)
+        self.store = FaultTolerantStore(name, telemetry=telemetry,
+                                        injector=injector)
+
+    @property
+    def version(self) -> int:
+        """The entry version; a bump invalidates every stored entry."""
+        raise NotImplementedError
+
+    def _path(self, key: str) -> str:
+        return os.path.join(self.root, key + ".pkl")
+
+    def get(self, key: str) -> Optional[Any]:
+        payload = self.store.load(self._path(key))
+        if (not isinstance(payload, dict)
+                or payload.get("version") != self.version
+                or payload.get("key") != key):
+            return None
+        outcome = payload.get("outcome")
+        return outcome if isinstance(outcome, self.outcome_type) else None
+
+    def put(self, key: str, outcome: Any) -> None:
+        self.store.store(
+            self._path(key),
+            {"version": self.version, "key": key, "outcome": outcome},
+        )

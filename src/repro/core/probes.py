@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import (
-    FaultTolerantStore,
+    KeyedCache,
     default_cache_dir,
-    validate_cache_dir,
 )
 from repro.errors import StartupError
 
@@ -282,7 +281,7 @@ class PooledProbeExecutor:
         return outcomes
 
 
-class ProbeCache:
+class ProbeCache(KeyedCache):
     """Content-addressed probe outcomes under ``.cmfuzz-cache/probes/``.
 
     One pickle per probe, keyed by :func:`probe_key` — sha256 of the
@@ -296,31 +295,17 @@ class ProbeCache:
     quarantined instead of silently counting as misses.
     """
 
+    outcome_type = ProbeOutcome
+
     def __init__(self, root: Optional[str] = None, telemetry=None,
                  injector=None):
-        base = root or default_cache_dir()
-        self.root = validate_cache_dir(os.path.join(base, PROBE_CACHE_SUBDIR))
-        self.store = FaultTolerantStore("probe", telemetry=telemetry,
-                                        injector=injector)
+        super().__init__(
+            os.path.join(root or default_cache_dir(), PROBE_CACHE_SUBDIR),
+            "probe", telemetry=telemetry, injector=injector)
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".pkl")
-
-    def get(self, key: str) -> Optional[ProbeOutcome]:
-        payload = self.store.load(self._path(key))
-        if not isinstance(payload, dict):
-            return None
-        if (payload.get("version") != PROBE_CACHE_VERSION
-                or payload.get("key") != key):
-            return None
-        outcome = payload.get("outcome")
-        return outcome if isinstance(outcome, ProbeOutcome) else None
-
-    def put(self, key: str, outcome: ProbeOutcome) -> None:
-        self.store.store(
-            self._path(key),
-            {"version": PROBE_CACHE_VERSION, "key": key, "outcome": outcome},
-        )
+    @property
+    def version(self) -> int:
+        return PROBE_CACHE_VERSION
 
 
 class CachedProbeExecutor:

@@ -1,32 +1,22 @@
 """Branch-coverage substrate (SanitizerCoverage trace-pc-guard analogue).
 
 The paper instruments targets with Clang's ``trace-pc-guard`` to collect
-branch coverage.  Our pure-Python targets call explicit probes instead:
-every decision point executes ``cov.hit(site_id)`` where ``site_id`` is a
-stable string naming that branch.  A :class:`CoverageMap` is a set-like
-bitmap of hit sites supporting union, difference and counting, which is all
-the fuzzers consume.
+branch coverage and counts the distinct branches hit.  Our pure-Python
+targets call explicit probes instead: every decision point executes
+``cov.hit(site_id)`` or ``cov.branch(site_id, cond)``, where ``site_id``
+is a stable string naming that branch.
 
-The :class:`CoverageCollector` the targets report to records into a
-:class:`SiteInterner` (site string -> dense int id, once per campaign)
-and :class:`IndexedCoverageMap` twins (array counters + int sets with
-bulk union/diff), which behave as :class:`CoverageMap` does — the
-differential suite in ``tests/coverage/test_indexed_equivalence.py``
-enforces it.
+The :class:`CoverageCollector` the targets report to keeps coverage as a
+set of sites: the campaign total and the sites first hit in the current
+run.  The startup probes of model build record into the same class.
+:class:`CoverageMap` is a standalone set of sites with hit counters
+(union, difference, counting) for code that wants a value object.
 """
 
 from repro.coverage.bitmap import CoverageMap
-from repro.coverage.collector import (
-    CoverageCollector,
-    NullCollector,
-)
-from repro.coverage.indexed import IndexedCoverageMap
-from repro.coverage.interner import SiteInterner
+from repro.coverage.collector import CoverageCollector
 
 __all__ = [
     "CoverageMap",
     "CoverageCollector",
-    "IndexedCoverageMap",
-    "NullCollector",
-    "SiteInterner",
 ]

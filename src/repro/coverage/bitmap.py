@@ -1,4 +1,9 @@
-"""Coverage maps: set-like containers of hit branch sites."""
+"""A coverage map: a set-like value of hit branch sites with counters.
+
+The campaign's collector keeps plain site sets
+(:class:`~repro.coverage.collector.CoverageCollector`); this map is the
+public value type for callers that want counts as well as sites.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +14,11 @@ class CoverageMap:
     """A set of hit branch sites with hit counters.
 
     Mirrors what a trace-pc-guard bitmap provides: membership ("was this
-    edge hit"), per-edge counters, and cheap union/difference for computing
-    newly-discovered branches across fuzzing iterations.
+    edge hit"), per-edge counters, and union/difference for computing
+    newly-discovered branches.
 
-    ``sites()`` is memoised: triage code calls it once per iteration and
-    the map usually hasn't changed, so rebuilding a frozenset over the
-    full map every call was pure waste.  Every mutating operation
-    (:meth:`hit`, :meth:`merge`, :meth:`clear`) invalidates the cache.
+    ``sites()`` is memoised; every mutating operation (:meth:`hit`,
+    :meth:`merge`, :meth:`clear`) invalidates the cache.
     """
 
     __slots__ = ("_hits", "_sites_cache")
@@ -34,17 +37,6 @@ class CoverageMap:
         if count <= 0:
             raise ValueError("hit count must be positive, got %r" % (count,))
         self._hits[site] = self._hits.get(site, 0) + count
-        self._sites_cache = None
-
-    def _bump(self, site: str) -> None:
-        """Unchecked single hit — the collector's per-site hot path.
-
-        The public :meth:`hit` validates its ``count`` argument on every
-        call; instrumentation callbacks always record exactly one hit,
-        so the check (and the default-argument plumbing) is hoisted out
-        of the path that runs hundreds of times per iteration.
-        """
-        self._hits[site] = self._hits.get(site, 0) + 1
         self._sites_cache = None
 
     def count(self, site: str) -> int:

@@ -347,7 +347,7 @@ def _fresh_state(target_cls, state_model: StateModel, mode: ParallelMode,
     coverage = TimeSeries()
     global_sites: Set[str] = set()
     for instance in ctx.instances:
-        global_sites.update(instance.collector.total.sites())
+        global_sites.update(instance.collector.total)
     coverage.record(ctx.clock.now, len(global_sites))
     return _LoopState(
         ctx=ctx,

@@ -83,6 +83,7 @@ from repro.cache import (
     atomic_write,
     canonical_payload,
     default_cache_dir,
+    read_bytes,
 )
 from repro.errors import CheckpointError, SchemaVersionError
 from repro.faultplane import (
@@ -114,7 +115,9 @@ __all__ = [
 #: referencing them.
 #: 6: no stream index file; each loop blob ends with the sha256 of its
 #: own bytes.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: 7: coverage collectors pickle plain site sets (no interner, no
+#: per-site counters).
+CHECKPOINT_SCHEMA_VERSION = 7
 
 #: Every file a stream writes: kind, sequence, and for a temp file
 #: (see :func:`repro.cache.atomic_write`) its unique suffix.
@@ -497,14 +500,6 @@ class CheckpointStore:
         :data:`~repro.cache.UNPICKLE_ERRORS` on any damage.
         """
         path = self._path(name)
-
-        def read() -> Optional[bytes]:
-            try:
-                with open(path, "rb") as handle:
-                    return handle.read()
-            except FileNotFoundError:
-                return None
-
         # A read that fails verification is re-read before the file is
         # written off: the file on disk may be healthy even when one
         # read of it was damaged (an injected corrupt-on-read, a torn
@@ -512,7 +507,8 @@ class CheckpointStore:
         # back to the next-older save.
         for _ in range(self.injector.backoff.max_attempts):
             try:
-                blob = self.injector.run(site, read, kinds=_READ_KINDS,
+                blob = self.injector.run(site, lambda: read_bytes(path),
+                                         kinds=_READ_KINDS,
                                          on_corrupt=corrupt_bytes)
             except (IoGiveUp, OSError):
                 return None

@@ -41,10 +41,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.cache import (
     DEFAULT_CACHE_DIR,
-    FaultTolerantStore,
+    KeyedCache,
     canonical_payload,
     default_cache_dir,
-    validate_cache_dir,
 )
 from repro.harness.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.harness.pool import (
@@ -273,7 +272,7 @@ def results(cells: Sequence[CellResult]) -> List[CampaignResult]:
 # ---------------------------------------------------------------------------
 
 
-class ResultCache:
+class ResultCache(KeyedCache):
     """Pickle-per-key outcome cache under a cache directory.
 
     The key is a content hash of the spec, so the only invalidation rule
@@ -290,29 +289,16 @@ class ResultCache:
     the rest of the grid, and corrupt entries are quarantined.
     """
 
+    outcome_type = CampaignOutcome
+
     def __init__(self, root: Optional[str] = None, telemetry=None,
                  injector=None):
-        self.root = validate_cache_dir(root or default_cache_dir())
-        self.store = FaultTolerantStore("result", telemetry=telemetry,
-                                        injector=injector)
+        super().__init__(root or default_cache_dir(), "result",
+                         telemetry=telemetry, injector=injector)
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".pkl")
-
-    def get(self, key: str) -> Optional[CampaignOutcome]:
-        payload = self.store.load(self._path(key))
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != CACHE_VERSION or payload.get("key") != key:
-            return None
-        outcome = payload.get("outcome")
-        return outcome if isinstance(outcome, CampaignOutcome) else None
-
-    def put(self, key: str, outcome: CampaignOutcome) -> None:
-        self.store.store(
-            self._path(key),
-            {"version": CACHE_VERSION, "key": key, "outcome": outcome},
-        )
+    @property
+    def version(self) -> int:
+        return CACHE_VERSION
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.extraction import ConfigSources
-from repro.coverage.collector import CoverageCollector, ProbeCollector
+from repro.coverage.collector import CoverageCollector
 from repro.errors import StartupError, TargetError
 
 
@@ -130,8 +130,9 @@ def startup_probe_for(
     :data:`repro.core.relation.StartupProbe`); startup failures
     propagate as :class:`StartupError` (the quantifier maps them to zero
     coverage). Every target of the probe stream records into one
-    :class:`~repro.coverage.collector.ProbeCollector`, so equal startups
-    return one shared set of shared site strings.
+    :class:`~repro.coverage.collector.CoverageCollector`, reset before
+    each startup, so every probe shares one string per site; equal
+    startups return one shared ``frozenset``.
 
     Args:
         factory: Produces fresh target instances (see
@@ -143,11 +144,13 @@ def startup_probe_for(
             startup failure; when omitted, the fault propagates.
     """
 
-    collector = ProbeCollector(factory.NAME)
+    collector = CoverageCollector(factory.NAME)
+    # Each distinct site set -> its one shared frozenset.
+    shared: Dict[frozenset, frozenset] = {}
 
     def probe(assignment: Dict[str, Any]) -> frozenset:
         target = factory(collector)
-        collector.start_run()
+        collector.reset()
         try:
             target.startup(assignment)
         except StartupError:
@@ -159,6 +162,7 @@ def startup_probe_for(
                 on_fault(fault)
                 raise StartupError(str(fault), tuple(assignment))
             raise
-        return collector.end_run()
+        sites = frozenset(collector.total)
+        return shared.setdefault(sites, sites)
 
     return probe

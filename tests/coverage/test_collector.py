@@ -1,13 +1,13 @@
-"""Tests for coverage collectors."""
+"""Tests for the coverage collector."""
 
-from repro.coverage.collector import CoverageCollector, NullCollector
+from repro.coverage.collector import CoverageCollector
 
 
 class TestCoverageCollector:
     def test_hits_both_run_and_total(self):
         collector = CoverageCollector()
         collector.hit("x")
-        assert "x" in collector.run
+        assert "x" in collector.run_new
         assert "x" in collector.total
 
     def test_component_prefix(self):
@@ -28,15 +28,20 @@ class TestCoverageCollector:
         collector = CoverageCollector()
         collector.hit("a")
         collector.start_run()
-        assert len(collector.run) == 0
+        assert collector.run_new == set()
         assert "a" in collector.total
 
-    def test_end_run_returns_run_map(self):
+    def test_run_new_keeps_first_hits_of_the_run(self):
         collector = CoverageCollector()
         collector.start_run()
         collector.hit("a")
-        run = collector.end_run()
-        assert "a" in run
+        collector.hit("a")
+        collector.branch("c", True)
+        assert collector.run_new == {"a", "c/T"}
+        collector.start_run()
+        collector.branch("c", True)
+        collector.branch("c", False)
+        assert collector.run_new == {"c/F"}
 
     def test_branch_records_arm(self):
         collector = CoverageCollector()
@@ -56,13 +61,5 @@ class TestCoverageCollector:
         collector = CoverageCollector()
         collector.hit("a")
         collector.reset()
-        assert len(collector.total) == 0
-        assert collector.run_new == set()
-
-    def test_null_collector_discards(self):
-        collector = NullCollector()
-        collector.hit("a")
-        assert collector.branch("b", True) is True
-        assert collector.branch("b", False) is False
         assert len(collector.total) == 0
         assert collector.run_new == set()

@@ -82,6 +82,19 @@ class TestRunCampaign:
         for instance in result.instances:
             assert instance.namespace.destroyed
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "sites a restart's startup() hits enter the collector's total and "
+        "run_new, but the next start_run() drops run_new before the loop "
+        "reads it, so the exported coverage misses them"))
+    def test_final_coverage_is_the_union_of_instance_totals(self):
+        result = run_campaign(MosquittoTarget, _mqtt_pit(), CmFuzzMode(),
+                              CampaignConfig(n_instances=4,
+                                             duration_hours=12.0, seed=1))
+        union = set()
+        for instance in result.instances:
+            union |= instance.collector.total
+        assert result.final_coverage == len(union)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(Exception):
             CampaignConfig(n_instances=0)

@@ -163,6 +163,30 @@ class TestSchemaVersioning:
                          pit_registry()["dnsmasq"](), create_mode("cmfuzz"),
                          config)
 
+    def test_resume_over_a_previous_schema_blob_raises(self, tmp_path):
+        """A loop blob in the current layout (self-verifying sha256
+        trailer) but stamped with the previous schema version refuses
+        to resume: its pickled collectors have the old layout."""
+        root = str(tmp_path / "ck")
+        config = CampaignConfig(n_instances=2, duration_hours=1.0, seed=3,
+                                checkpoint_every=600.0, checkpoint_dir=root,
+                                resume=True)
+        store = CheckpointStore(campaign_key("dnsmasq", "cmfuzz", config),
+                                root=root)
+        os.makedirs(store.directory)
+        body = pickle.dumps(CheckpointPayload(
+            schema_version=CHECKPOINT_SCHEMA_VERSION - 1, key=store.key,
+            sequence=1, sim_time=0.0, iterations=0,
+            state=None)) + pickle.dumps({"round": 1})
+        with open(os.path.join(store.directory, "ckpt-000001.pkl"),
+                  "wb") as handle:
+            handle.write(body + hashlib.sha256(body).digest())
+        with pytest.raises(SchemaVersionError) as excinfo:
+            run_campaign(get_target("dnsmasq").target_cls,
+                         pit_registry()["dnsmasq"](), create_mode("cmfuzz"),
+                         config)
+        assert excinfo.value.found == CHECKPOINT_SCHEMA_VERSION - 1
+
     def test_old_blob_version_is_rejected_on_scan(self, tmp_path):
         store = _store(tmp_path)
         os.makedirs(store.directory)

@@ -96,6 +96,16 @@ class TestStartupProbe:
         assert "demo:startup.feature" not in second
         assert "demo:startup.feature" in first
 
+    def test_equal_startups_share_one_frozenset(self):
+        """Model build keeps every probe's site set; equal startups must
+        return one object, not one copy per launch."""
+        probe = startup_probe_for(_Demo)
+        first = probe({"feature": True})
+        probe({})
+        second = probe({"feature": True})
+        assert isinstance(first, frozenset)
+        assert second is first
+
     def test_startup_error_propagates(self):
         probe = startup_probe_for(_Demo)
         with pytest.raises(StartupError):
