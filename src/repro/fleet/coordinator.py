@@ -384,7 +384,11 @@ class _Handler(BaseHTTPRequestHandler):
         match = _EVENTS_PATH.match(path)
         if match:
             query = parse_qs(parsed.query)
-            after = int(query.get("after", ["-1"])[0])
+            try:
+                after = int(query.get("after", ["-1"])[0])
+            except ValueError:
+                self._error(400, "'after' must be an integer")
+                return
             events = self.coordinator.events(match.group(1), after=after)
             if events is None:
                 self._error(404, "no such session")
@@ -416,11 +420,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, "unknown endpoint %s" % self.path)
             return
         handler_name, expected = route
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8")
         try:
-            message = wire.decode(body, expected=expected)
-        except Exception as exc:  # wire/schema errors -> 400, not a 500
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: answer, then drop the
+            # connection rather than parse its bytes as the next request.
+            self.close_connection = True
+            self._error(400, "Content-Length must be a non-negative integer")
+            return
+        body = self.rfile.read(length)
+        try:
+            message = wire.decode(body.decode("utf-8"), expected=expected)
+        except Exception as exc:  # encoding/wire/schema errors -> 400
             self._error(400, str(exc))
             return
         response = getattr(self.coordinator, handler_name)(message)

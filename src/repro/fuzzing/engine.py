@@ -38,53 +38,8 @@ class DirectTransport:
         self.target.reset_session()
 
 
-class ChannelTransport:
-    """Feeds packets through a netns channel into a target instance.
-
-    Models the paper's isolated-namespace data plane: the engine writes
-    to the client side, the pump drains the server side into the target
-    and routes responses back. Everything pending on the server side is
-    pulled in one :meth:`~repro.netns.channel.Endpoint.drain` and walked
-    as a plain list, re-draining until the inbox stays empty, so datagrams
-    reach the target in FIFO order.
-
-    If the target faults mid-batch, the unprocessed remainder is pushed
-    back to the *front* of the inbox, leaving queued exactly the datagrams
-    a one-``recv``-per-datagram pump would have left there.
-    """
-
-    def __init__(self, channel, target: ProtocolTarget):
-        self.channel = channel
-        self.target = target
-
-    def send(self, payload: bytes) -> Optional[bytes]:
-        channel = self.channel
-        channel.send_to_server(payload)
-        server = channel.server
-        target = self.target
-        response: Optional[bytes] = None
-        while True:
-            batch = server.drain()
-            if not batch:
-                return response
-            done = 0
-            try:
-                for pending in batch:
-                    done += 1
-                    reply = target.handle_packet(pending)
-                    if reply:
-                        channel.send_to_client(reply)
-                        response = channel.client.recv()
-            except BaseException:
-                server.requeue(batch[done:])
-                raise
-
-    def reset(self) -> None:
-        self.target.reset_session()
-
-
-#: Former name of the batched transport, kept for existing importers.
-BatchedChannelTransport = ChannelTransport
+#: Former names of the transport, kept for existing importers.
+ChannelTransport = BatchedChannelTransport = DirectTransport
 
 
 @dataclass

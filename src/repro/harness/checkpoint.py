@@ -60,9 +60,10 @@ Durability contract:
   mis-deserializing it.
 
 The campaign key hashes everything that determines the run (target,
-mode, config, seed) *except* the checkpoint/resume knobs themselves,
-so ``--resume`` finds the state no matter how checkpointing was
-spelled on the interrupted invocation.
+mode, config, seed) *except* the checkpoint/resume knobs themselves
+and the schema version, so ``--resume`` finds the state no matter how
+checkpointing was spelled on the interrupted invocation, and refuses
+a stream an older layout wrote instead of starting over beside it.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ __all__ = [
 #: own bytes.
 #: 7: coverage collectors pickle plain site sets (no interner, no
 #: per-site counters).
-CHECKPOINT_SCHEMA_VERSION = 7
+#: 8: instances pickle no loopback channel; a namespace pickles its
+#: bound ports as a plain set.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 #: Every file a stream writes: kind, sequence, and for a temp file
 #: (see :func:`repro.cache.atomic_write`) its unique suffix.
@@ -148,7 +151,10 @@ def campaign_key(target: str, mode: str, config: Any) -> str:
     Derived from the target, mode and every config field that shapes
     the run; the checkpoint/resume knobs themselves are excluded so an
     interrupted ``--checkpoint-every 600`` run and its ``--resume``
-    rerun agree on the key.
+    rerun agree on the key. The schema version is left out too: a
+    stream written under an older layout keeps its key, so resuming it
+    raises :class:`~repro.errors.SchemaVersionError` rather than
+    silently starting a fresh stream beside it.
     """
     payload = canonical_payload(config)
     if isinstance(payload, dict):
@@ -156,7 +162,6 @@ def campaign_key(target: str, mode: str, config: Any) -> str:
                    if k not in _KEY_EXCLUDED_FIELDS}
     digest = hashlib.sha256(json.dumps(
         {
-            "version": CHECKPOINT_SCHEMA_VERSION,
             "target": target,
             "mode": mode,
             "config": payload,

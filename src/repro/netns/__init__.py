@@ -2,12 +2,12 @@
 
 The paper isolates each fuzzing instance in a Linux network namespace via
 ``ip netns`` to prevent cross-contamination. We reproduce the semantics in
-process: each :class:`NetworkNamespace` owns a private port space; sockets
-bound in one namespace are invisible from another; channels deliver
-datagrams/streams only between endpoints of the same namespace.
+process: each :class:`NetworkNamespace` owns a private port space, so a
+port bound in one namespace is still free in every other. Packets need
+no data plane: an instance's engine hands them straight to its own
+target (:class:`~repro.fuzzing.engine.DirectTransport`).
 """
 
 from repro.netns.namespace import NetworkNamespace, NamespaceManager
-from repro.netns.channel import Channel, Endpoint
 
-__all__ = ["Channel", "Endpoint", "NamespaceManager", "NetworkNamespace"]
+__all__ = ["NamespaceManager", "NetworkNamespace"]

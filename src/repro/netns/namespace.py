@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.errors import NamespaceError
-from repro.netns.channel import Channel
 
 
 class NetworkNamespace:
     """A private network environment for one fuzzing instance.
 
-    Ports bound here are invisible to every other namespace; connecting to
-    a port only succeeds if something in *this* namespace bound it — the
+    Ports bound here are invisible to every other namespace, so parallel
+    instances of one target can all listen on its default port — the
     behaviour ``ip netns exec`` provides to the paper's instances.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._bound: Dict[int, Channel] = {}
-        self._channels: List[Channel] = []
+        self._bound: Set[int] = set()
         self.destroyed = False
 
-    def bind(self, port: int) -> Channel:
-        """Bind ``port`` and return the server-side channel."""
+    def bind(self, port: int) -> None:
+        """Bind ``port`` in this namespace."""
         self._check_alive()
         if not 0 < port < 65536:
             raise NamespaceError("invalid port %r" % port)
@@ -31,36 +29,20 @@ class NetworkNamespace:
             raise NamespaceError(
                 "port %d already bound in namespace %r" % (port, self.name)
             )
-        channel = Channel("%s/%d" % (self.name, port))
-        self._bound[port] = channel
-        self._channels.append(channel)
-        return channel
-
-    def connect(self, port: int) -> Channel:
-        """Connect to a bound port; fails if nothing listens here."""
-        self._check_alive()
-        channel = self._bound.get(port)
-        if channel is None or channel.closed:
-            raise NamespaceError(
-                "connection refused: port %d in namespace %r" % (port, self.name)
-            )
-        return channel
+        self._bound.add(port)
 
     def release(self, port: int) -> None:
-        """Unbind ``port``, closing its channel."""
+        """Unbind ``port``."""
         self._check_alive()
-        channel = self._bound.pop(port, None)
-        if channel is None:
+        if port not in self._bound:
             raise NamespaceError("port %d not bound in namespace %r" % (port, self.name))
-        channel.close()
+        self._bound.remove(port)
 
     def bound_ports(self) -> List[int]:
         return sorted(self._bound)
 
     def destroy(self) -> None:
-        """Tear down the namespace, closing every channel."""
-        for channel in self._channels:
-            channel.close()
+        """Tear down the namespace, releasing every port."""
         self._bound.clear()
         self.destroyed = True
 
@@ -85,23 +67,6 @@ class NamespaceManager:
         self._namespaces[name] = namespace
         return namespace
 
-    def get(self, name: str) -> NetworkNamespace:
-        try:
-            return self._namespaces[name]
-        except KeyError:
-            raise NamespaceError("unknown namespace %r" % name)
-
-    def destroy(self, name: str) -> None:
-        self.get(name).destroy()
-
     def destroy_all(self) -> None:
         for namespace in self._namespaces.values():
             namespace.destroy()
-
-    def active(self) -> List[str]:
-        return sorted(
-            name for name, ns in self._namespaces.items() if not ns.destroyed
-        )
-
-    def __len__(self) -> int:
-        return len(self.active())

@@ -6,7 +6,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.reassembly import ConfigBundle
 from repro.coverage.collector import CoverageCollector
-from repro.fuzzing.engine import ChannelTransport, FuzzEngine, IterationResult
+from repro.fuzzing.engine import DirectTransport, FuzzEngine, IterationResult
 from repro.netns.namespace import NetworkNamespace
 from repro.targets.base import ProtocolTarget
 
@@ -42,7 +42,6 @@ class FuzzingInstance:
         self.config_mutations = 0
         self.hangs = 0
         self.target: Optional[ProtocolTarget] = None
-        self.channel = None
         #: Optional chaos proxy applied to every freshly built target.
         self.target_wrapper = None
         self._bound_port: Optional[int] = None
@@ -67,15 +66,15 @@ class FuzzingInstance:
             target = self.target_wrapper(target)
         target.startup(dict(self.bundle.assignment))
         port = int(target.config.get("port", target.PORT) or target.PORT)
-        if self.channel is None or port != self._bound_port:
-            # Rebind when an adaptive config mutation moved the port;
-            # leaving the transport on the old port strands the engine.
-            if self.channel is not None:
+        if port != self._bound_port:
+            # Rebind when an adaptive config mutation moved the port, so
+            # the namespace's port space matches the running target.
+            if self._bound_port is not None:
                 self.namespace.release(self._bound_port)
-            self.channel = self.namespace.bind(port)
+            self.namespace.bind(port)
             self._bound_port = port
         self.target = target
-        transport = ChannelTransport(self.channel, target)
+        transport = DirectTransport(target)
         if self.engine is None:
             self.engine = self._engine_factory(transport, self.collector)
             if not self.share_seeds:

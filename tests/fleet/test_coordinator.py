@@ -6,6 +6,8 @@ threads — with a cheap in-process runner so the suite stays fast.
 """
 
 import dataclasses
+import http.client
+import json
 import socket
 import threading
 import time
@@ -99,6 +101,30 @@ class TestLiveness:
         with pytest.raises(CoordinatorUnavailable, match="400"):
             client._request("POST", "/v1/campaigns",
                             body=wire.encode(wire.HeartbeatRequest("a")))
+
+    @pytest.mark.parametrize("method, path, headers, body", [
+        ("GET", "/v1/campaigns/s-1/events?after=abc", {}, None),
+        ("POST", "/v1/agents/register", {"Content-Length": "abc"}, b"{}"),
+        ("POST", "/v1/agents/register", {"Content-Length": "-5"}, b"{}"),
+        ("POST", "/v1/agents/register", {"Content-Length": "2"}, b"\xff\xfe"),
+    ], ids=["non-integer-after", "non-integer-content-length",
+            "negative-content-length", "non-utf8-body"])
+    def test_malformed_http_input_is_400(self, fleet, method, path,
+                                         headers, body):
+        server, client = fleet
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.putrequest(method, path)
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+        assert client.ping()
 
 
 class TestRegistration:

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.fuzzing.datamodel import Blob, DataModel
-from repro.fuzzing.engine import ChannelTransport, DirectTransport, FuzzEngine
+from repro.fuzzing.engine import (
+    BatchedChannelTransport,
+    ChannelTransport,
+    DirectTransport,
+    FuzzEngine,
+)
 from repro.fuzzing.statemodel import Action, State, StateModel
 from repro.fuzzing.strategies import RandomFieldStrategy
-from repro.netns.namespace import NetworkNamespace
 from repro.targets.base import ProtocolTarget
 from repro.targets.faults import FaultKind, SanitizerFault
 
@@ -127,25 +131,22 @@ class TestEngine:
         assert engine.total_messages == 4
 
 
-class TestChannelTransport:
-    def test_pumps_through_namespace_channel(self, target):
-        namespace = NetworkNamespace("test")
-        channel = namespace.bind(9999)
-        transport = ChannelTransport(channel, target)
-        response = transport.send(b"abc")
-        assert response == b"ok"
-        assert channel.bytes_to_server == 3
+class TestDirectTransport:
+    def test_returns_the_target_reply(self, target):
+        assert DirectTransport(target).send(b"abc") == b"ok"
+        assert "toy:len.3" in target.cov.total
 
     def test_faults_propagate(self, target):
-        namespace = NetworkNamespace("test")
-        channel = namespace.bind(9999)
-        transport = ChannelTransport(channel, target)
+        transport = DirectTransport(target)
         with pytest.raises(SanitizerFault):
             transport.send(b"\x80\x00")
 
     def test_reset_delegates_to_target(self, target):
-        namespace = NetworkNamespace("test")
-        transport = ChannelTransport(namespace.bind(9999), target)
+        transport = DirectTransport(target)
         before = target.resets
         transport.reset()
         assert target.resets == before + 1
+
+    def test_former_transport_names_alias_it(self):
+        assert ChannelTransport is DirectTransport
+        assert BatchedChannelTransport is DirectTransport

@@ -187,6 +187,27 @@ class TestSchemaVersioning:
                          config)
         assert excinfo.value.found == CHECKPOINT_SCHEMA_VERSION - 1
 
+    def test_resume_over_a_stream_saved_by_the_previous_schema_raises(
+            self, tmp_path, monkeypatch):
+        """A campaign interrupted under the previous schema is found
+        again on ``--resume`` (the campaign key does not hash the schema
+        version) and refused, instead of silently starting over."""
+        root = str(tmp_path / "ck")
+        config = CampaignConfig(n_instances=2, duration_hours=1.0, seed=3,
+                                checkpoint_every=300.0, checkpoint_dir=root)
+        run = lambda config, hook=None: run_campaign(  # noqa: E731
+            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+            create_mode("cmfuzz"), config, abort_hook=hook)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.harness.checkpoint.CHECKPOINT_SCHEMA_VERSION",
+                          CHECKPOINT_SCHEMA_VERSION - 1)
+            with pytest.raises(CampaignInterrupted):
+                run(config, lambda iterations, now: iterations >= 30)
+        with pytest.raises(SchemaVersionError) as excinfo:
+            run(dataclasses.replace(config, resume=True))
+        assert excinfo.value.found == CHECKPOINT_SCHEMA_VERSION - 1
+        assert excinfo.value.supported == CHECKPOINT_SCHEMA_VERSION
+
     def test_old_blob_version_is_rejected_on_scan(self, tmp_path):
         store = _store(tmp_path)
         os.makedirs(store.directory)

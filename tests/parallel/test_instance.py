@@ -34,6 +34,24 @@ class TestLifecycle:
         instance.start()
         assert instance.namespace.bound_ports() == [2000]
 
+    def test_restart_on_a_new_port_rebinds(self):
+        instance = _instance(ConfigBundle(assignment={"port": 2000}, group=["port"]))
+        instance.start()
+        instance.restart({"port": 2001})
+        assert instance.namespace.bound_ports() == [2001]
+
+    def test_restart_on_the_same_port_keeps_the_binding(self, monkeypatch):
+        instance = _instance(ConfigBundle(assignment={"port": 2000}, group=["port"]))
+        instance.start()
+        calls = []
+        for name in ("bind", "release"):
+            monkeypatch.setattr(instance.namespace, name,
+                                lambda port, name=name: calls.append((name, port)))
+        instance.restart({"port": 2000})
+        assert calls == []
+        assert instance.namespace.bound_ports() == [2000]
+        assert instance.engine.transport.target is instance.target
+
     def test_startup_error_propagates(self):
         bundle = ConfigBundle(assignment={"require_certificate": True},
                               group=["require_certificate"])
