@@ -69,7 +69,8 @@ class ModelBuildConfig:
             ``.cmfuzz-cache/``).
         probe_timeout: Per-probe wall-clock budget in seconds (pooled
             probing only).
-        retries: Failed probe-batch retries in a fresh worker.
+        retries: Failed probe-batch retries (on the pool's next idle
+            worker).
     """
 
     max_combinations: int = 36

@@ -218,7 +218,7 @@ class PooledProbeExecutor:
         target: Target registry name.
         workers: Worker processes (chunks in flight).
         timeout: Per-probe wall-clock budget in seconds.
-        retries: Failed-chunk retries in a fresh worker.
+        retries: Failed-chunk retries (on the pool's next idle worker).
         chunks: Number of chunks to split the assignment list into
             (default: ``workers``, one even share per worker).
     """

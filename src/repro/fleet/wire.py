@@ -14,17 +14,21 @@ fields — base64-encoded pickles produced by :func:`pack` — so the wire
 layer never needs to mirror their schema. Everything the *control
 plane* itself decides on (lease epochs, agent identity, cell states) is
 first-class JSON and round-trips losslessly, which the wire test suite
-pins down per message type.
+pins down per message type. :func:`decode` checks every field against
+its dataclass annotation, so a wrongly typed field from a peer is a
+:class:`WireError` at the boundary, never a ``TypeError`` in a handler.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import (Any, Dict, List, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 from repro.errors import SchemaVersionError
 
@@ -204,20 +208,10 @@ class SessionStatus:
     state: str  # "running" | "done" | "failed"
     cells: List[CellStatus] = field(default_factory=list)
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SessionStatus":
-        cells = [CellStatus(**cell) for cell in payload.pop("cells", [])]
-        return cls(cells=cells, **payload)
-
 
 @dataclass(frozen=True)
 class SessionList:
     sessions: List[SessionStatus] = field(default_factory=list)
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SessionList":
-        return cls(sessions=[SessionStatus.from_wire(s)
-                             for s in payload.get("sessions", [])])
 
 
 @dataclass(frozen=True)
@@ -238,11 +232,6 @@ class SessionEvents:
     state: str
     events: List[SessionEvent] = field(default_factory=list)
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SessionEvents":
-        events = [SessionEvent(**e) for e in payload.pop("events", [])]
-        return cls(events=events, **payload)
-
 
 @dataclass(frozen=True)
 class AgentInfo:
@@ -256,10 +245,6 @@ class AgentInfo:
 @dataclass(frozen=True)
 class Roster:
     agents: List[AgentInfo] = field(default_factory=list)
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "Roster":
-        return cls(agents=[AgentInfo(**a) for a in payload.get("agents", [])])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +287,10 @@ def decode(text: str, expected: Optional[type] = None) -> Any:
 
     Raises:
         SchemaVersionError: Envelope from a different wire version.
-        WireError: Malformed JSON, unknown kind, or a type mismatch.
+        WireError: Malformed JSON, unknown kind, a missing or unknown
+            field, a field whose value does not match its annotation
+            (``LeaseRelease.cell_index="x"``), or a message of the
+            wrong type.
     """
     try:
         envelope = json.loads(text)
@@ -319,14 +307,63 @@ def decode(text: str, expected: Optional[type] = None) -> Any:
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise WireError("wire payload is not an object: %r" % (payload,))
-    try:
-        if hasattr(cls, "from_wire"):
-            message = cls.from_wire(dict(payload))
-        else:
-            message = cls(**payload)
-    except TypeError as exc:
-        raise WireError("bad %s payload: %s" % (cls.__name__, exc))
+    message = _build(cls, payload, cls.__name__)
     if expected is not None and not isinstance(message, expected):
         raise WireError("expected %s, got %s"
                         % (expected.__name__, type(message).__name__))
     return message
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _build(cls: type, payload: Dict[str, Any], where: str) -> Any:
+    """``cls`` from a JSON object, each field checked against its
+    annotation (nested message dataclasses are rebuilt the same way)."""
+    types = _field_types(cls)
+    try:
+        # An unknown field passes as Any, then fails the constructor.
+        return cls(**{name: _typed(value, types.get(name, Any),
+                                   where + "." + name)
+                      for name, value in payload.items()})
+    except TypeError as exc:
+        raise WireError("bad %s payload: %s" % (where, exc))
+
+
+def _typed(value: Any, hint: Any, where: str) -> Any:
+    """``value`` if it has the shape ``hint`` names, else :class:`WireError`.
+
+    ``int`` rejects ``bool``; ``float`` takes any non-``bool`` number;
+    ``Optional`` admits ``None``; lists and dicts are checked item by
+    item; a dataclass hint rebuilds the message from its object.
+    """
+    origin = get_origin(hint)
+    if hint is Any:
+        return value
+    if origin is Union:
+        if value is None and type(None) in get_args(hint):
+            return None
+        (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return _typed(value, inner, where)
+    if origin is list and isinstance(value, list):
+        (item,) = get_args(hint)
+        return [_typed(v, item, "%s[%d]" % (where, i))
+                for i, v in enumerate(value)]
+    if origin is dict and isinstance(value, dict):
+        key_type, value_type = get_args(hint)
+        return {_typed(k, key_type, where): _typed(v, value_type, where)
+                for k, v in value.items()}
+    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        return _build(hint, value, where)
+    if hint is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(hint, type) and isinstance(value, hint)
+    if not ok:
+        raise WireError("bad %s: expected %s, got %r"
+                        % (where, getattr(hint, "__name__", hint), value))
+    return value

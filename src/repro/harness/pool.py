@@ -12,14 +12,22 @@ fleet coordinator applies too. One loop drives the table for both
 shapes:
 
 - ``workers=1`` runs each leased task in-process, with no budget;
-- ``workers>1`` runs each leased task in a fresh worker process, each
-  under its budget (``Task.timeout``, else the pool-wide ``timeout``).
+- ``workers>1`` hands each leased task to one of at most ``workers``
+  long-lived worker processes, each task under its budget
+  (``Task.timeout``, else the pool-wide ``timeout``).
 
-Each launch ends in one table transition: a result goes to
-``complete``; a raised exception or a worker that exits without a
-result goes to ``fail``; a death the fault plane injected goes to
-``release``, which refunds the attempt. The workers whose tasks the
-table reports as overrun are killed.
+A worker is forked the first time a leased task finds no idle one, and
+then serves task after task over a duplex pipe (:func:`_worker_loop`)
+until the call ends: a fault-free call forks at most ``workers``
+processes, and every task after a worker's first runs on pages the
+worker already copied. Each task ends in one table transition: a
+result goes to ``complete``; a raised exception (the worker stays) or
+a worker that exits without a result goes to ``fail``; a death the
+fault plane injected (a ``die`` order) goes to ``release``, which
+refunds the attempt. The worker whose task the table reports as
+overrun is killed; the next lease forks its replacement. When the call
+returns or raises, idle workers are told to stop and joined, and busy
+or lingering ones are terminated, so no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -112,38 +120,62 @@ class Task:
     timeout: Optional[float] = None
 
 
-def _task_entry(runner: Callable, payload: Any, conn) -> None:
-    """Worker process entry point: run the task, ship one message back."""
+#: Seconds an idle worker waits for an order before checking that its
+#: parent is still alive; an orphan (parent SIGKILLed) exits on the next
+#: check instead of blocking on a pipe it holds both ends of.
+_ORPHAN_CHECK_S = 1.0
+
+#: Seconds to wait for a worker to exit before escalating from a stop
+#: order to SIGTERM, and from SIGTERM to SIGKILL.
+_STOP_GRACE_S = 5.0
+
+
+def _worker_loop(runner: Callable, conn) -> None:
+    """Worker process body: serve task orders until told to stop.
+
+    An order is ``("run", payload)``, answered by exactly one
+    ``("ok", runner(payload))`` or ``("error", CellFailure)`` message, or
+    ``("die", None)``: the fault plane's doom, which closes the pipe and
+    exits 173 with no reply. ``os._exit`` skips every cleanup hook, which
+    is the point: the parent must observe exactly what a segfaulting or
+    OOM-killed worker looks like. ``None``, a parent that hung up or a
+    parent that died ends the loop.
+    """
+    parent = os.getppid()
+    doomed = False
     try:
-        conn.send(("ok", runner(payload)))
-    except BaseException as exc:  # noqa: BLE001 - converted to a record
-        try:
-            conn.send(("error", CellFailure.from_exception(exc)))
-        except _PIPE_SEND_ERRORS:
-            # Unreportable failure (pipe gone or record unpicklable):
-            # die silently; the parent records "worker-died".
-            pass
+        while True:
+            try:
+                while not conn.poll(_ORPHAN_CHECK_S):
+                    if os.getppid() != parent:
+                        return
+                order = conn.recv()
+            except (EOFError, OSError):
+                return
+            if order is None:
+                return
+            kind, payload = order
+            if kind == "die":
+                doomed = True
+                return
+            try:
+                conn.send(("ok", runner(payload)))
+            except BaseException as exc:  # noqa: BLE001 - becomes a record
+                try:
+                    conn.send(("error", CellFailure.from_exception(exc)))
+                except _PIPE_SEND_ERRORS:
+                    # Unreportable failure (pipe gone or record
+                    # unpicklable): exit silently; the parent records
+                    # "worker-died".
+                    return
     finally:
         try:
             conn.close()
         except _PIPE_CLOSE_ERRORS:
             # Broken/already-closed pipe; the process is exiting anyway.
             pass
-
-
-def _doomed_entry(conn) -> None:
-    """Entry point for a fault-plane-doomed worker: die without a result.
-
-    ``os._exit`` skips every cleanup hook, which is the point — the
-    parent must observe exactly what a segfaulting or OOM-killed worker
-    looks like: a closed pipe and a nonzero exitcode.
-    """
-    try:
-        conn.close()
-    except _PIPE_CLOSE_ERRORS:
-        # Broken/already-closed pipe; the doomed exit must proceed.
-        pass
-    os._exit(173)
+        if doomed:
+            os._exit(173)
 
 
 def _run_here(runner: Callable, payload: Any):
@@ -161,12 +193,19 @@ def _run_here(runner: Callable, payload: Any):
 
 
 @dataclass
-class _Running:
-    """One worker process and the leased cell it runs."""
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
 
-    cell: Cell
     process: Any
     conn: Any
+
+
+@dataclass
+class _Running:
+    """One leased cell and the worker running it."""
+
+    cell: Cell
+    worker: _Worker
     started: float
     injected: bool = False
 
@@ -200,22 +239,26 @@ def execute_tasks(
         tasks: The work items, in the order results should come back.
         runner: Task body mapping ``task.payload`` to a result. Must be a
             picklable module-level callable for ``workers > 1``.
-        workers: Max tasks in flight. ``1`` runs in-process (identical
-            results, no subprocesses, no timeout enforcement).
+        workers: Max tasks in flight, and max worker processes alive at
+            once. ``1`` runs in-process (identical results, no
+            subprocesses, no timeout enforcement).
         timeout: Default per-task wall-clock budget in seconds (pooled
             only); ``Task.timeout`` overrides it per task.
-        retries: How many times a failed task is re-run in a fresh worker
-            before its failure record becomes final.
+        retries: How many times a failed task is re-run before its
+            failure record becomes final. A retry runs on whichever
+            worker is idle: the one a raise left serving, or the
+            replacement of a worker that overran or died.
         telemetry: Optional :class:`repro.telemetry.Telemetry`; records
             ``<prefix>.task_seconds`` and ``<prefix>.retries``.
         on_success: Invoked as ``on_success(task, outcome)`` before the
             result is folded into the table (cache writes hook in here).
         metric_prefix: Namespace for the pool's telemetry instruments.
         injector: Optional :class:`repro.faultplane.FaultInjector`; an
-            enabled plan may doom a launched worker to die before
-            shipping its result. The death releases the lease: the
-            attempt is refunded and no pool metric observes it, so the
-            exported counters never see the fault plane's weather.
+            enabled plan may turn a launch into a ``die`` order, so the
+            worker exits without shipping a result. The death releases
+            the lease: the attempt is refunded and no pool metric
+            observes it, so the exported counters never see the fault
+            plane's weather.
             Ignored on the ``workers=1`` in-process path (there is no
             worker to kill).
 
@@ -232,6 +275,7 @@ def execute_tasks(
         for i, task in enumerate(tasks)
     ], lease_ttl=None, retries=retries)
     running: Dict[int, _Running] = {}
+    idle: List[_Worker] = []
     deaths = InjectedDeaths(None if inline else injector, "pool.worker")
     ctx = None if inline else (mp_context or default_context())
 
@@ -247,44 +291,52 @@ def execute_tasks(
         else:
             table.fail(_HOLDER, cell.index, cell.epoch, value, now)
 
-    def launch(cell: Cell) -> None:
-        doomed = deaths.doomed(cell.index)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_doomed_entry if doomed else _task_entry,
-            args=(child_conn,) if doomed
-            else (runner, cell.payload.payload, child_conn),
-            daemon=True,
-        )
+    def start_worker() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(target=_worker_loop, args=(runner, child_conn),
+                              daemon=True)
         process.start()
         child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    def launch(cell: Cell) -> None:
+        """Hand a leased cell to an idle worker, else to a new one."""
+        doomed = deaths.doomed(cell.index)
+        worker = idle.pop() if idle else start_worker()
         running[cell.index] = _Running(
-            cell=cell, process=process, conn=parent_conn,
-            started=time.monotonic(), injected=doomed,
+            cell=cell, worker=worker, started=time.monotonic(),
+            injected=doomed,
         )
+        try:
+            worker.conn.send(("die", None) if doomed
+                             else ("run", cell.payload.payload))
+        except OSError:
+            # The worker died while idle: collect() reads its exit as
+            # this launch's death.
+            pass
 
     def collect(run: _Running) -> None:
-        """Fold a worker that shipped a message or exited."""
+        """Fold a worker that sent its reply or exited."""
         del running[run.cell.index]
         try:
-            message = run.conn.recv()
+            message = run.worker.conn.recv()
         except (EOFError, OSError):
             message = None
-        run.conn.close()
-        run.process.join()
-        if message is None and run.injected:
+        if message is not None:
+            idle.append(run.worker)
+            fold(run.cell, run.started, message)
+            return
+        _stop(run.worker)
+        if run.injected:
             table.release(_HOLDER, run.cell.index, run.cell.epoch,
                           time.monotonic())
             return
-        if message is None:
-            exitcode = run.process.exitcode
-            message = ("error", CellFailure(
-                kind="worker-died",
-                message="worker exited without a result (exitcode %s)"
-                        % exitcode,
-                exitcode=exitcode,
-            ))
-        fold(run.cell, run.started, message)
+        exitcode = run.worker.process.exitcode
+        fold(run.cell, run.started, ("error", CellFailure(
+            kind="worker-died",
+            message="worker exited without a result (exitcode %s)" % exitcode,
+            exitcode=exitcode,
+        )))
 
     try:
         while not table.done:
@@ -302,19 +354,25 @@ def execute_tasks(
                 continue
             due = table.next_overrun()
             wait = None if due is None else max(0.0, due - time.monotonic())
-            by_conn = {run.conn: run for run in running.values()}
+            by_conn = {run.worker.conn: run for run in running.values()}
             for conn in mp_connection.wait(list(by_conn), timeout=wait):
                 collect(by_conn[conn])
             for cell in table.overrun(time.monotonic()):
                 run = running.pop(cell.index)
-                _terminate(run.process)
-                run.conn.close()
+                _stop(run.worker, kill=True)
                 tele.histogram(metric_prefix + ".task_seconds").observe(
                     time.monotonic() - run.started)
     finally:
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                # It died while idle; _stop() reaps it all the same.
+                pass
+        for worker in idle:
+            _stop(worker)
         for run in running.values():
-            _terminate(run.process)
-            run.conn.close()
+            _stop(run.worker, kill=True)
     results = [
         CellResult(index=task.index, spec=task.payload, outcome=cell.outcome,
                    failure=cell.failure, attempts=cell.attempts)
@@ -327,9 +385,16 @@ def execute_tasks(
     return results
 
 
-def _terminate(process) -> None:
-    process.terminate()
-    process.join(5.0)
+def _stop(worker: _Worker, kill: bool = False) -> None:
+    """Reap one worker: wait for it to exit (after a stop order or its
+    own death), terminating it if it is busy (``kill``) or lingers."""
+    process = worker.process
+    if not kill:
+        process.join(_STOP_GRACE_S)
+    if process.is_alive():
+        process.terminate()
+        process.join(_STOP_GRACE_S)
     if process.is_alive():  # pragma: no cover - stuck in uninterruptible state
         process.kill()
-        process.join(5.0)
+        process.join(_STOP_GRACE_S)
+    worker.conn.close()

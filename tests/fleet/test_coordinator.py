@@ -61,6 +61,12 @@ def _submit(client, specs, retries=1):
     return client.submit([wire.pack(s) for s in specs], retries=retries)
 
 
+#: A well-formed envelope whose ``cell_index`` is not an integer.
+_MISTYPED_RELEASE = wire.encode(wire.LeaseRelease(
+    agent_id="t-0", session_id="s-0001", cell_index="x", epoch=1,
+)).encode("utf-8")
+
+
 def _run_agents(server, count=2, **kwargs):
     kwargs.setdefault("cache", False)
     kwargs.setdefault("poll", 0.02)
@@ -107,11 +113,16 @@ class TestLiveness:
         ("POST", "/v1/agents/register", {"Content-Length": "abc"}, b"{}"),
         ("POST", "/v1/agents/register", {"Content-Length": "-5"}, b"{}"),
         ("POST", "/v1/agents/register", {"Content-Length": "2"}, b"\xff\xfe"),
+        ("POST", "/v1/agents/release", {"Content-Length": "%d" % len(
+            _MISTYPED_RELEASE)}, _MISTYPED_RELEASE),
     ], ids=["non-integer-after", "non-integer-content-length",
-            "negative-content-length", "non-utf8-body"])
+            "negative-content-length", "non-utf8-body", "mistyped-field"])
     def test_malformed_http_input_is_400(self, fleet, method, path,
                                          headers, body):
         server, client = fleet
+        # A live session, so a message that got past decoding would
+        # reach that session's lease table.
+        _submit(client, [FakeSpec(1)])
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=5.0)
         try:

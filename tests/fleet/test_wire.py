@@ -1,6 +1,7 @@
 """Wire-format round-trips: every message survives the envelope codec."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -127,3 +128,67 @@ class TestDecodeRejections:
     def test_encode_rejects_non_wire_objects(self):
         with pytest.raises(wire.WireError):
             wire.encode({"kind": "dict, not a message"})
+
+
+def _envelope(kind, payload):
+    return json.dumps({"schema_version": wire.WIRE_SCHEMA_VERSION,
+                       "kind": kind, "payload": payload})
+
+
+_RELEASE = {"agent_id": "a", "session_id": "s-0001", "cell_index": 3,
+            "epoch": 2}
+_STATUS = {"session_id": "s-0001", "label": "", "state": "running",
+           "cells": [{"index": 0, "state": "leased", "epoch": 1}]}
+
+
+class TestFieldTypes:
+    """``decode`` checks each field against its dataclass annotation."""
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("LeaseRelease", dict(_RELEASE, cell_index="x")),
+        ("LeaseRelease", dict(_RELEASE, cell_index=True)),
+        ("LeaseRelease", dict(_RELEASE, epoch=2.0)),
+        ("LeaseRelease", dict(_RELEASE, agent_id=7)),
+        ("LeaseRelease", dict(_RELEASE, session_id=None)),
+        ("HeartbeatResponse", {"ok": 1}),
+        ("RegisterResponse", {"agent_id": "a", "heartbeat_interval": False,
+                              "lease_ttl": 15.0}),
+        ("RegisterResponse", {"agent_id": "a", "heartbeat_interval": "5",
+                              "lease_ttl": 15.0}),
+        ("CampaignSubmit", {"spec_blobs": "abc"}),
+        ("CampaignSubmit", {"spec_blobs": ["a", 1]}),
+        ("CampaignSubmit", {"spec_blobs": [], "timeout": "soon"}),
+        ("ResultReport", dict(_RELEASE, failure=["not", "a", "dict"])),
+        ("ResultReport", dict(_RELEASE, failure="exploded")),
+        ("SessionStatus", dict(_STATUS, cells={"index": 0})),
+        ("SessionStatus", dict(_STATUS, cells=[["not", "an", "object"]])),
+        ("SessionStatus", dict(_STATUS, cells=[{"index": "0", "state": "x",
+                                                "epoch": 1}])),
+        ("SessionStatus", dict(_STATUS, cells=[{"index": 0, "state": "x",
+                                                "epoch": 1, "extra": 1}])),
+        ("Roster", {"agents": [{"agent_id": "a", "state": "alive"}]}),
+    ], ids=[
+        "int-field-str", "int-field-bool", "int-field-float",
+        "str-field-int", "str-field-none", "bool-field-int",
+        "float-field-bool", "float-field-str", "list-field-str",
+        "list-item-mistyped", "optional-field-mistyped",
+        "dict-field-list", "dict-field-str", "nested-list-object",
+        "nested-item-not-object", "nested-field-mistyped",
+        "nested-unknown-field", "nested-missing-field",
+    ])
+    def test_mistyped_field_raises_wire_error(self, kind, payload):
+        with pytest.raises(wire.WireError):
+            wire.decode(_envelope(kind, payload))
+
+    def test_optional_admits_none_and_float_admits_int(self):
+        message = wire.decode(_envelope("CampaignSubmit", {
+            "spec_blobs": ["a"], "timeout": None}))
+        assert message.timeout is None
+        welcome = wire.decode(_envelope("RegisterResponse", {
+            "agent_id": "a", "heartbeat_interval": 5, "lease_ttl": 15.0}))
+        assert welcome.heartbeat_interval == 5
+
+    def test_nested_messages_are_rebuilt_as_dataclasses(self):
+        status = wire.decode(_envelope("SessionStatus", _STATUS))
+        assert status.cells == [wire.CellStatus(index=0, state="leased",
+                                                epoch=1)]

@@ -1,6 +1,8 @@
 """Worker fault tolerance: raises, timeouts and dead workers become
 structured failure records; the rest of the grid still completes; a
-bounded retry in a fresh worker recovers transient failures.
+bounded retry recovers transient failures. On the local pool a raise
+leaves its worker serving the retry, while a timeout or a dead worker
+gets a replacement (``test_pool_workers.py`` pins the lifetimes).
 
 Both backends settle cells through one lease table, so the exception
 and timeout cases run on the local pool and on an ephemeral fleet and
