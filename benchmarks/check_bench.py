@@ -7,8 +7,9 @@ noisy, so timing drift outside the tolerance only *warns* (GitHub
 ``::warning`` annotations); the gate hard-fails only on the structural
 invariants, which no amount of runner noise can excuse:
 
-- ``modelbuild`` — the warm cache must execute zero probes and the
-  pipeline variants must stay bit-identical;
+- ``modelbuild`` — the warm cache must execute zero probes, the
+  pipeline variants must stay bit-identical, and the in-process leg's
+  plan/execute/replay/remainder parts must add up to its wall;
 - ``engine`` — every leg's behaviour digest (per engine: the sorted
   final coverage sites, the message, iteration and corpus counts and a
   hash of the RNG state, for a fixed seed and iteration budget) must
@@ -46,6 +47,7 @@ TIMING_FIELDS = {
         "parallel_seconds",
         "cold_cache_seconds",
         "warm_cache_seconds",
+        "inprocess_seconds",
     ),
     "engine": (
         "single_execs_per_s",
@@ -82,6 +84,15 @@ def _check_modelbuild(fresh, baseline, failures):
         failures.append("pipeline variants diverged (identical=%r): the "
                         "parallel/cached paths are no longer bit-identical"
                         % fresh.get("identical"))
+    parts = fresh.get("inprocess_parts")
+    wall = fresh.get("inprocess_seconds")
+    numbers = (isinstance(parts, dict) and isinstance(wall, (int, float))
+               and all(isinstance(v, (int, float)) for v in parts.values()))
+    if not numbers or abs(sum(parts.values()) - wall) > 1e-3:
+        failures.append(
+            "in-process model build parts %r do not add up to its wall "
+            "%r: the record no longer says where set-up time goes"
+            % (parts, wall))
 
 
 #: The engine legs whose behaviour digest the baseline pins.

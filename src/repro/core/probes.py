@@ -137,19 +137,12 @@ def probe_one(probe: Callable[[Dict[str, Any]], Any],
 
     ``fault_log`` is the list the probe's ``on_fault`` callback appends
     to (see :func:`repro.targets.base.startup_probe_for`); faults that
-    accumulated during this call are drained into the outcome.
+    accumulated during this call are drained into the outcome. The
+    probe receives ``assignment`` itself, not a copy.
     """
-    before = len(fault_log) if fault_log is not None else 0
-    if startup_latency > 0:
-        time.sleep(startup_latency)
-    try:
-        coverage = probe(dict(assignment))
-    except StartupError:
-        faults: Tuple[FaultTuple, ...] = ()
-        if fault_log is not None:
-            faults = tuple(serialize_fault(f) for f in fault_log[before:])
-        return ProbeOutcome(failed=True, faults=faults)
-    return ProbeOutcome(sites=frozenset(coverage))
+    executor = LocalProbeExecutor(probe, fault_log=fault_log,
+                                  startup_latency=startup_latency)
+    return executor.run([assignment])[0]
 
 
 def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
@@ -160,11 +153,9 @@ def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
     fault_log: List = []
     probe = startup_probe_for(get_target(batch.target).target_cls,
                               on_fault=fault_log.append)
-    return [
-        probe_one(probe, dict(items), fault_log,
-                  startup_latency=batch.startup_latency)
-        for items in batch.assignments
-    ]
+    executor = LocalProbeExecutor(probe, fault_log=fault_log,
+                                  startup_latency=batch.startup_latency)
+    return executor.run([dict(items) for items in batch.assignments])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +165,12 @@ def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
 
 class LocalProbeExecutor:
     """Runs probes serially, in-process, against any probe callable.
+
+    The probe receives each assignment itself, not a copy. Equal
+    fault-free startups share one :class:`ProbeOutcome` when the probe
+    returns a ``frozenset`` (as :func:`repro.targets.base.startup_probe_for`
+    does, one shared set per distinct startup); any other iterable gets
+    an outcome of its own.
 
     Args:
         probe: The startup probe.
@@ -191,13 +188,34 @@ class LocalProbeExecutor:
         self.fault_log = fault_log
         self.startup_latency = startup_latency
         self.stats: Dict[str, int] = {"executed": 0, "cache_hits": 0}
+        #: Each distinct fault-free site set -> its one shared outcome.
+        self._outcomes: Dict[frozenset, ProbeOutcome] = {}
 
     def run(self, assignments: Sequence[Dict[str, Any]]) -> List[ProbeOutcome]:
-        outcomes = [
-            probe_one(self.probe, assignment, self.fault_log,
-                      startup_latency=self.startup_latency)
-            for assignment in assignments
-        ]
+        probe, fault_log = self.probe, self.fault_log
+        startup_latency = self.startup_latency
+        shared = self._outcomes
+        outcomes: List[ProbeOutcome] = []
+        for assignment in assignments:
+            before = len(fault_log) if fault_log is not None else 0
+            if startup_latency > 0:
+                time.sleep(startup_latency)
+            try:
+                coverage = probe(assignment)
+            except StartupError:
+                faults: Tuple[FaultTuple, ...] = ()
+                if fault_log is not None:
+                    faults = tuple(serialize_fault(f)
+                                   for f in fault_log[before:])
+                outcomes.append(ProbeOutcome(failed=True, faults=faults))
+                continue
+            if type(coverage) is frozenset:
+                outcome = shared.get(coverage)
+                if outcome is None:
+                    outcome = shared[coverage] = ProbeOutcome(sites=coverage)
+            else:
+                outcome = ProbeOutcome(sites=frozenset(coverage))
+            outcomes.append(outcome)
         self.stats["executed"] += len(outcomes)
         return outcomes
 

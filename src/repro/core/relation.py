@@ -11,16 +11,19 @@ edge. Raw weights are normalised to [0, 1].
 Quantification runs in three phases so the probe workload can be fanned
 out and cached without perturbing results:
 
-1. **Plan** — enumerate every pair's value combinations in the canonical
-   order and dedupe identical assignments (first-seen order), then derive
-   the baseline/single probes the synergy computation will demand.
+1. **Plan** — enumerate every pair's value combinations once, in the
+   canonical order, as ``(value_a, value_b, key)`` lists, where ``key``
+   is the assignment's canonical form; dedupe the keys (first-seen
+   order), then derive from the same lists the baseline/single probes
+   the synergy computation will demand.
 2. **Execute** — run the unique assignments through a probe executor
    (:mod:`repro.core.probes`): in-process, pooled across worker
    processes, or backed by the content-addressed on-disk cache.
-3. **Replay** — re-walk the exact sequential control flow, sourcing every
-   logical probe from the executed outcomes. The report's probe sequence,
-   launch counts, best values and raw weights are bit-identical whether
-   the probes ran in-process, across N workers, or entirely from cache.
+3. **Replay** — walk the planned lists in the exact sequential order,
+   sourcing every logical probe from the executed outcomes. The
+   report's probe sequence, launch counts, best values and raw weights
+   are bit-identical whether the probes ran in-process, across N
+   workers, or entirely from cache.
 
 This is the only quantification path: a bare probe handed to
 :class:`RelationQuantifier` runs through a
@@ -29,7 +32,8 @@ This is the only quantification path: a bare probe handed to
 :meth:`RelationQuantifier.requantify` builds on the same machinery for
 incremental rebuilds: pairs whose entities are unchanged (by fingerprint)
 carry their previous raw weight; only pairs containing changed entities
-re-probe.
+re-probe. The carried pairs' plan names the prior probes whose values
+still count toward best values.
 """
 
 from __future__ import annotations
@@ -56,6 +60,28 @@ from repro.telemetry import NULL_TELEMETRY
 #: :class:`~repro.errors.StartupError` (or return no sites) when the
 #: assignment prevents the target from starting.
 StartupProbe = Callable[[Dict[str, Any]], Iterable[str]]
+
+#: The canonical, hashable form of a probe assignment (see
+#: :func:`~repro.core.probes.assignment_items`).
+ProbeKey = Tuple[Tuple[str, Any], ...]
+
+
+def _combo_key(name_a: str, name_b: str, value_a: Any, value_b: Any) -> ProbeKey:
+    """``assignment_items`` of a pair combination, built without a dict.
+
+    A ``None`` value leaves its entity out, and when both names are
+    equal the second value wins, as in the dict the combination stands
+    for.
+    """
+    if value_a is None:
+        return () if value_b is None else ((name_b, value_b),)
+    if value_b is None:
+        return ((name_a, value_a),)
+    if name_a == name_b:
+        return ((name_a, value_b),)
+    if name_b < name_a:
+        return ((name_b, value_b), (name_a, value_a))
+    return ((name_a, value_a), (name_b, value_b))
 
 
 @dataclass
@@ -132,9 +158,11 @@ class QuantificationReport:
         for unchanged pairs, so best values stay exact while the probes
         themselves are skipped.
         """
+        branches = record.branches
+        scores = self._best_scores
         for name, value in record.assignment.items():
-            if record.branches > self._best_scores.get(name, -1):
-                self._best_scores[name] = record.branches
+            if branches > scores.get(name, -1):
+                scores[name] = branches
                 self.best_values[name] = value
 
     @property
@@ -262,63 +290,67 @@ class RelationQuantifier:
 
     # -- plan / execute / replay -------------------------------------------
 
-    def _plan_unique(
+    def _plan(
         self, pairs: List[Tuple[ConfigEntity, ConfigEntity]]
-    ) -> List[Tuple[Tuple[str, Any], ...]]:
-        """Stage A: unique pair-combination assignments, first-seen order."""
-        unique: Dict[Tuple[Tuple[str, Any], ...], None] = {}
-        for entity_a, entity_b in pairs:
-            for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-                assignment = self._combo_assignment(
-                    entity_a, entity_b, value_a, value_b)
-                unique.setdefault(assignment_items(assignment))
-        return list(unique)
+    ) -> List[List[Tuple[Any, Any, ProbeKey]]]:
+        """Each pair's ``(value_a, value_b, key)`` combinations, in order.
+
+        This is the one place pair combinations are enumerated; the
+        unique probes, the support probes, the replay and the carried
+        set of :meth:`requantify` all read its lists.
+        """
+        return [
+            [(value_a, value_b,
+              _combo_key(entity_a.name, entity_b.name, value_a, value_b))
+             for value_a, value_b in self._pair_combinations(entity_a,
+                                                             entity_b)]
+            for entity_a, entity_b in pairs
+        ]
 
     def _plan_supports(
         self,
         pairs: List[Tuple[ConfigEntity, ConfigEntity]],
-        outcomes: Dict[Tuple[Tuple[str, Any], ...], ProbeOutcome],
-    ) -> List[Tuple[Tuple[str, Any], ...]]:
-        """Stage B: baseline/single probes the synergy replay will demand.
+        plan: List[List[Tuple[Any, Any, ProbeKey]]],
+        outcomes: Dict[ProbeKey, ProbeOutcome],
+    ) -> List[ProbeKey]:
+        """Baseline/single probes the synergy replay will demand.
 
-        Simulates the sequential control flow against the stage-A
+        Simulates the sequential control flow against the pair
         outcomes without touching the live caches, so only probes that
-        replay will actually request — and that are not already cached on
-        this quantifier or covered by stage A — are executed.
+        replay will actually request — and that are not already cached
+        on this quantifier or among the pair probes — are executed.
         """
-        needed: Dict[Tuple[Tuple[str, Any], ...], None] = {}
+        if not self.synergy:
+            return []
+        needed: Dict[ProbeKey, None] = {}
         have_baseline = self._baseline is not None
         have_singles: Set[Tuple[str, Any]] = set(self._single_cache)
-
-        def require(assignment: Dict[str, Any]) -> None:
-            key = assignment_items(assignment)
-            if key not in outcomes:
-                needed.setdefault(key)
-
-        for entity_a, entity_b in pairs:
-            for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-                assignment = self._combo_assignment(
-                    entity_a, entity_b, value_a, value_b)
-                outcome = outcomes[assignment_items(assignment)]
-                if outcome.failed or outcome.branches == 0 or not self.synergy:
+        for (entity_a, entity_b), combos in zip(pairs, plan):
+            name_a, name_b = entity_a.name, entity_b.name
+            for value_a, value_b, key in combos:
+                if not outcomes[key].branches:
                     continue
                 if not have_baseline:
-                    require({})
+                    if () not in outcomes:
+                        needed.setdefault(())
                     have_baseline = True
-                for name, value in ((entity_a.name, value_a),
-                                    (entity_b.name, value_b)):
-                    if value is not None and (name, value) not in have_singles:
-                        require({name: value})
-                        have_singles.add((name, value))
+                for single in ((name_a, value_a), (name_b, value_b)):
+                    if single[1] is not None and single not in have_singles:
+                        have_singles.add(single)
+                        if (single,) not in outcomes:
+                            needed.setdefault((single,))
         return list(needed)
 
     def _replay_record(self, assignment: Dict[str, Any],
                        outcome: ProbeOutcome,
                        report: QuantificationReport) -> ProbeRecord:
-        """Note one logical probe from an executed outcome, firing faults."""
-        record = ProbeRecord(dict(assignment), outcome.branches,
-                             failed=outcome.failed,
-                             sites=self._share_sites(outcome.sites))
+        """Note one logical probe from an executed outcome, firing faults.
+
+        The record keeps ``assignment`` itself, so callers pass a fresh
+        dict.
+        """
+        record = ProbeRecord(assignment, outcome.branches, outcome.failed,
+                             self._share_sites(outcome.sites))
         report.note_probe(record)
         if self.on_fault is not None:
             for entry in outcome.faults:
@@ -332,41 +364,46 @@ class RelationQuantifier:
         return self._baseline
 
     def _replay_single(self, name: str, value: Any, outcomes, report) -> frozenset:
-        key = (name, value)
-        if key not in self._single_cache:
-            assignment = {name: value}
+        single = (name, value)
+        sites = self._single_cache.get(single)
+        if sites is None:
             record = self._replay_record(
-                assignment, outcomes[assignment_items(assignment)], report)
-            self._single_cache[key] = record.sites
-        return self._single_cache[key]
+                {name: value}, outcomes[(single,)], report)
+            sites = self._single_cache[single] = record.sites
+        return sites
 
     def _replay_pair(
         self,
         entity_a: ConfigEntity,
         entity_b: ConfigEntity,
-        outcomes: Dict[Tuple[Tuple[str, Any], ...], ProbeOutcome],
+        combos: List[Tuple[Any, Any, ProbeKey]],
+        outcomes: Dict[ProbeKey, ProbeOutcome],
         report: QuantificationReport,
     ) -> float:
-        """Re-walk one pair's sequential control flow from outcomes."""
+        """Walk one pair's planned combinations, sourcing outcomes."""
+        name_a, name_b = entity_a.name, entity_b.name
+        synergy = self.synergy
+        combo_assignment = self._combo_assignment
+        replay_record = self._replay_record
+        replay_single = self._replay_single
         observed: List[float] = []
-        for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-            assignment = self._combo_assignment(
-                entity_a, entity_b, value_a, value_b)
-            record = self._replay_record(
-                assignment, outcomes[assignment_items(assignment)], report)
-            if record.failed or record.branches == 0:
+        for value_a, value_b, key in combos:
+            record = replay_record(
+                combo_assignment(entity_a, entity_b, value_a, value_b),
+                outcomes[key], report)
+            if not record.branches:
                 observed.append(0.0)
                 continue
-            if not self.synergy:
+            if not synergy:
                 observed.append(float(record.branches))
                 continue
             baseline = self._replay_baseline(outcomes, report)
-            alone_a = (self._replay_single(entity_a.name, value_a, outcomes, report)
+            alone_a = (replay_single(name_a, value_a, outcomes, report)
                        if value_a is not None else baseline)
-            alone_b = (self._replay_single(entity_b.name, value_b, outcomes, report)
+            alone_b = (replay_single(name_b, value_b, outcomes, report)
                        if value_b is not None else baseline)
-            unlocked = record.sites - alone_a - alone_b - baseline
-            observed.append(float(len(unlocked)))
+            observed.append(float(len(
+                record.sites.difference(alone_a, alone_b, baseline))))
         return self._aggregate(observed)
 
     def _quantify_pairs(
@@ -383,13 +420,15 @@ class RelationQuantifier:
         logical_before = len(report.probes)
         stats_before = dict(self.executor.stats)
         with self.telemetry.span("modelbuild.plan"):
-            combo_keys = self._plan_unique(pairs)
+            plan = self._plan(pairs)
+            combo_keys = list(dict.fromkeys(
+                key for combos in plan for _, _, key in combos))
         with self.telemetry.span("modelbuild.execute", probes=len(combo_keys)):
             combo_outcomes = self.executor.run(
                 [dict(key) for key in combo_keys])
         outcomes = dict(zip(combo_keys, combo_outcomes))
         with self.telemetry.span("modelbuild.plan"):
-            support_keys = self._plan_supports(pairs, outcomes)
+            support_keys = self._plan_supports(pairs, plan, outcomes)
         if support_keys:
             with self.telemetry.span("modelbuild.execute",
                                      probes=len(support_keys)):
@@ -397,8 +436,9 @@ class RelationQuantifier:
                     [dict(key) for key in support_keys])
             outcomes.update(zip(support_keys, support_outcomes))
         with self.telemetry.span("modelbuild.replay"):
-            for entity_a, entity_b in pairs:
-                weight = self._replay_pair(entity_a, entity_b, outcomes, report)
+            for (entity_a, entity_b), combos in zip(pairs, plan):
+                weight = self._replay_pair(entity_a, entity_b, combos,
+                                           outcomes, report)
                 if weight > 0:
                     raw[(entity_a.name, entity_b.name)] = weight
         stats_after = self.executor.stats
@@ -527,14 +567,11 @@ class RelationQuantifier:
         # entity's old values (or to combinations beyond the new
         # truncation point) no longer exist in that universe, and seeding
         # their scores would pin stale best values.
-        valid: Set[Tuple[Tuple[str, Any], ...]] = {()}
-        for entity_a, entity_b in carried_pairs:
-            for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-                combo = self._combo_assignment(
-                    entity_a, entity_b, value_a, value_b)
-                valid.add(assignment_items(combo))
-                for name, value in combo.items():
-                    valid.add(((name, value),))
+        valid: Set[ProbeKey] = {()}
+        for combos in self._plan(carried_pairs):
+            for _, _, key in combos:
+                valid.add(key)
+                valid.update((item,) for item in key)
         for record in previous.probes:
             if assignment_items(record.assignment) in valid:
                 report.fold_best(record)

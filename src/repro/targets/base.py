@@ -62,13 +62,15 @@ class ProtocolTarget:
     def startup(self, assignment: Optional[Dict[str, Any]] = None) -> None:
         """Start the server with ``assignment`` layered over the defaults."""
         merged = dict(self.default_config())
-        unknown = [name for name in (assignment or {}) if name not in merged]
-        if unknown:
-            raise StartupError(
-                "unknown configuration keys: %s" % ", ".join(sorted(unknown)),
-                conflicting=unknown,
-            )
-        merged.update(assignment or {})
+        if assignment:
+            if not merged.keys() >= assignment.keys():
+                unknown = [name for name in assignment if name not in merged]
+                raise StartupError(
+                    "unknown configuration keys: %s"
+                    % ", ".join(sorted(unknown)),
+                    conflicting=unknown,
+                )
+            merged.update(assignment)
         if "port" in merged:
             try:
                 port = int(merged["port"])
@@ -107,7 +109,10 @@ class ProtocolTarget:
 
     def enabled(self, name: str) -> bool:
         """Truthiness of a boolean-ish configuration key."""
-        value = self.cfg(name)
+        try:
+            value = self.config[name]
+        except KeyError:
+            value = self.cfg(name)  # raises the TargetError
         if isinstance(value, str):
             return value.strip().lower() in ("true", "yes", "on", "1")
         return bool(value)

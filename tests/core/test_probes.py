@@ -64,6 +64,27 @@ class TestLocalExecutor:
         assert executor.stats == {"executed": 3, "cache_hits": 0}
         assert log == [{"a": 1}, {"boom": True}, {}]
 
+    def test_equal_startups_share_one_outcome(self):
+        # The probe builds a new (equal) frozenset on every call.
+        executor = LocalProbeExecutor(_counting_probe([]))
+        first, failed, again, other = executor.run(
+            [{}, {"boom": True}, {}, {"a": 1}])
+        later, = executor.run([{}])
+        assert first is again is later
+        assert first.sites == {"base"} and not first.faults
+        assert other is not first and other.sites == {"a=1", "base"}
+        assert failed.failed
+
+    def test_failures_and_other_iterables_get_their_own_outcome(self):
+        executor = LocalProbeExecutor(_counting_probe([]))
+        boom_a, boom_b = executor.run([{"boom": True}, {"boom": True}])
+        assert boom_a.failed and boom_b.failed and boom_a is not boom_b
+
+        listing = LocalProbeExecutor(lambda a: ["base"])
+        first, second = listing.run([{}, {}])
+        assert first == second and first is not second
+        assert first.sites == frozenset({"base"})
+
 
 class TestProbeCache:
     def test_roundtrip(self, tmp_path):

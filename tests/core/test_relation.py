@@ -1,10 +1,16 @@
 """Tests for pairwise relation-weight quantification (§III-B1)."""
 
+import collections
+import types
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.entity import ConfigEntity, Flag, ValueType
 from repro.core.model import ConfigurationModel
-from repro.core.relation import RelationQuantifier
+from repro.core.probes import assignment_items
+from repro.core.relation import RelationQuantifier, _combo_key
 from repro.coverage.bitmap import CoverageMap
 from repro.errors import StartupError
 
@@ -173,3 +179,59 @@ class TestQuantify:
         quantifier.quantify(self._model())
         singles = [c for c in calls if len(c) == 1]
         assert len(singles) == len({tuple(sorted(c.items())) for c in singles})
+
+
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+
+
+class TestPlan:
+    @given(name_a=st.text(), name_b=st.text(), value_a=_VALUES,
+           value_b=_VALUES)
+    def test_combo_key_is_the_sorted_assignment(self, name_a, name_b,
+                                                value_a, value_b):
+        entity_a = types.SimpleNamespace(name=name_a)
+        entity_b = types.SimpleNamespace(name=name_b)
+        assignment = RelationQuantifier._combo_assignment(
+            entity_a, entity_b, value_a, value_b)
+        assert (_combo_key(name_a, name_b, value_a, value_b)
+                == assignment_items(assignment))
+
+    @staticmethod
+    def _count_enumerations(monkeypatch):
+        calls = collections.Counter()
+        enumerate_pair = RelationQuantifier._pair_combinations
+
+        def counted(self, entity_a, entity_b):
+            calls[(entity_a.name, entity_b.name)] += 1
+            return enumerate_pair(self, entity_a, entity_b)
+
+        monkeypatch.setattr(RelationQuantifier, "_pair_combinations", counted)
+        return calls
+
+    def test_each_pair_enumerated_once(self, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        model = ConfigurationModel([_bool_entity(n) for n in "abcd"])
+        quantifier = RelationQuantifier(_synthetic_probe)
+        _, previous = quantifier.quantify(model)
+        pairs = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                 ("b", "d"), ("c", "d")}
+        assert calls == dict.fromkeys(pairs, 1)
+
+        calls.clear()
+        quantifier.requantify(model, previous, changed=["b"])
+        assert calls == dict.fromkeys(pairs, 1)
+
+    def test_plain_list_probe_matches_frozenset_probe(self):
+        def as_list(assignment):
+            return sorted(_synthetic_probe(assignment))
+
+        def as_frozenset(assignment):
+            return frozenset(_synthetic_probe(assignment))
+
+        model = ConfigurationModel([_bool_entity(n) for n in "abc"])
+        listed = RelationQuantifier(as_list).quantify(model)[1]
+        frozen = RelationQuantifier(as_frozenset).quantify(model)[1]
+        assert listed.raw_weights == frozen.raw_weights == {("a", "b"): 1.0}
+        assert listed.best_values == frozen.best_values
+        assert ([(r.assignment, r.sites, r.failed) for r in listed.probes]
+                == [(r.assignment, r.sites, r.failed) for r in frozen.probes])
