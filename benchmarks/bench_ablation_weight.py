@@ -36,8 +36,8 @@ def test_ablation_weight_edges(benchmark, subject):
         return quantify("max"), quantify("mean")
 
     max_model, mean_model = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    max_edges = max_model.graph.number_of_edges()
-    mean_edges = mean_model.graph.number_of_edges()
+    max_edges = max_model.number_of_edges()
+    mean_edges = mean_model.number_of_edges()
     print("\nAblation A3 (%s): edges max=%d mean=%d" % (subject, max_edges, mean_edges))
 
     # A pair has positive mean iff it has positive max, so the edge sets

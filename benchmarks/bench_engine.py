@@ -25,6 +25,15 @@ Every timed repetition must reproduce the same digest. Timing
 protocol: best of ``CMFUZZ_BENCH_ENGINE_REPEATS`` runs (default 5), GC
 disabled inside the timed region, fixed seeds throughout.
 
+The record also carries the import footprint of a campaign run, taken
+in a fresh interpreter: ``import_rss_mb``, the growth of resident
+memory (Linux ``/proc/self/statm``) while importing ``repro``,
+``repro.api``, ``repro.harness.campaign`` and ``repro.harness.executor``
+(smallest of three runs), and ``third_party_modules``, the top-level
+packages outside the standard library and ``repro`` those imports
+loaded. ``check_bench.py`` hard-fails a non-empty list; RSS drift only
+warns.
+
 Runs with the bench suite (``pytest benchmarks/bench_engine.py``) or
 standalone (``python benchmarks/bench_engine.py``).
 """
@@ -33,6 +42,7 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -141,6 +151,51 @@ def _leg(build, iterations, instances=1):
     return per_engine * instances / best, digests.pop()
 
 
+#: What a campaign run imports; the footprint measures exactly these.
+FOOTPRINT_MODULES = ("repro", "repro.api", "repro.harness.campaign",
+                     "repro.harness.executor")
+
+#: Runs in a fresh interpreter and prints the RSS growth (bytes) of the
+#: imports and the non-stdlib packages they loaded. Current RSS, not
+#: ``ru_maxrss``: a child's peak starts at its parent's. Startup ``.pth``
+#: hooks and aliases of ``__main__`` are not imports; without
+#: ``sys.stdlib_module_names`` (Python 3.9) only the formerly required
+#: packages are looked for.
+_FOOTPRINT_SCRIPT = """
+import importlib, json, os, sys
+def rss():
+    with open('/proc/self/statm') as handle:
+        return int(handle.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')
+before = set(sys.modules)
+start = rss()
+for name in %r:
+    importlib.import_module(name)
+grown = rss() - start
+added = {m.split('.')[0] for m in set(sys.modules) - before
+         if sys.modules[m] is not sys.modules['__main__']} - {'repro'}
+stdlib = getattr(sys, 'stdlib_module_names', None)
+foreign = sorted(n for n in added
+                 if (n not in stdlib if stdlib else n in ('networkx', 'numpy')))
+print(json.dumps([grown, foreign]))
+""" % (FOOTPRINT_MODULES,)
+
+
+def import_footprint(runs=3):
+    """``(import_rss_mb, third_party_modules)`` of a campaign's imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = conftest._SRC + os.pathsep + env.get("PYTHONPATH", "")
+    grown = []
+    foreign = set()
+    for _ in range(runs):
+        output = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT],
+                                capture_output=True, text=True, check=True,
+                                env=env).stdout
+        size, modules = json.loads(output)
+        grown.append(size)
+        foreign.update(modules)
+    return round(min(grown) / 2.0 ** 20, 1), sorted(foreign)
+
+
 def run_bench():
     """Returns the ``BENCH_engine.json`` record."""
     legs = {
@@ -149,8 +204,11 @@ def run_bench():
         "e2e_sized": _leg(_e2e_sized_engine, E2E_ITERATIONS),
         "multi": _leg(_feather_engine, ITERATIONS, INSTANCES),
     }
+    import_rss_mb, third_party = import_footprint()
     record = {
         "bench": "engine",
+        "import_rss_mb": import_rss_mb,
+        "third_party_modules": third_party,
         "target": TARGET,
         "targets": [TARGET, SIZED_TARGET],
         "registry_targets": list(target_names()),
@@ -176,10 +234,11 @@ def test_engine_bench():
     record = run_bench()
     _write_record(record)
     print("\nengine: single %0.0f execs/s  e2e %0.0f  e2e[%s] %0.0f  "
-          "multi[%d] %0.0f"
+          "multi[%d] %0.0f  import %0.1f MB"
           % (record["single_execs_per_s"], record["e2e_execs_per_s"],
              SIZED_TARGET, record["e2e_sized_execs_per_s"],
-             record["instances"], record["multi_execs_per_s"]))
+             record["instances"], record["multi_execs_per_s"],
+             record["import_rss_mb"]))
 
 
 def main() -> int:

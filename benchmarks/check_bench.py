@@ -14,7 +14,9 @@ invariants, which no amount of runner noise can excuse:
   final coverage sites, the message, iteration and corpus counts and a
   hash of the RNG state, for a fixed seed and iteration budget) must
   equal the committed baseline's, so a loop change that alters what
-  the engine does fails even when it runs faster;
+  the engine does fails even when it runs faster; and a campaign's
+  imports must load no third-party package (``third_party_modules``
+  empty), while their RSS (``import_rss_mb``) only warns on drift;
 - ``ablation`` — the record must cover every mode it claims the registry
   held (``registry_modes``), the adaptive extensions (``plateau``,
   ``statemap``) must be present, and every mode needs positive coverage,
@@ -40,7 +42,8 @@ import argparse
 import json
 import sys
 
-#: Wall-clock fields compared against the baseline (warn-only), per kind.
+#: Wall-clock (and footprint) fields compared against the baseline
+#: (warn-only), per kind.
 TIMING_FIELDS = {
     "modelbuild": (
         "sequential_seconds",
@@ -54,6 +57,7 @@ TIMING_FIELDS = {
         "e2e_execs_per_s",
         "e2e_sized_execs_per_s",
         "multi_execs_per_s",
+        "import_rss_mb",
     ),
     "ablation": (
         "total_seconds",
@@ -119,6 +123,11 @@ def _check_engine(fresh, baseline, failures):
                 "the engine loop no longer does what it did when the "
                 "baseline was recorded" % (leg, digests.get(leg),
                                            pinned.get(leg)))
+    if fresh.get("third_party_modules") != []:
+        failures.append(
+            "engine record's third_party_modules is %r, not []: a "
+            "campaign's imports must load no third-party package"
+            % (fresh.get("third_party_modules"),))
 
 
 #: The adaptive extensions an ablation record must always cover: losing

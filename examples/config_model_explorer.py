@@ -36,7 +36,7 @@ def explore(name, target_cls):
     for fault in {str(f) for f in startup_bugs}:
         print("  !! startup crash while probing:", fault)
     print("\nrelations: %d edges (%d launches, %d startup conflicts)"
-          % (relation_model.graph.number_of_edges(), report.launches,
+          % (relation_model.number_of_edges(), report.launches,
              report.failures))
     for a, b, weight in relation_model.edges_by_weight()[:8]:
         print("  %.2f  %s <-> %s" % (weight, a, b))

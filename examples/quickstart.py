@@ -34,7 +34,7 @@ def main():
     )
     print("\nQuantified relations: %d edges from %d startup launches "
           "(%d conflicting combinations)"
-          % (relation_model.graph.number_of_edges(), report.launches,
+          % (relation_model.number_of_edges(), report.launches,
              report.failures))
 
     # 3. Cohesive grouping: one configuration group per fuzzing instance.

@@ -263,7 +263,7 @@ def _cmd_model(args, out) -> int:
         on_fault=faults.append,
     )
     out.write("\n%d relations from %d launches (%d conflicts)\n"
-              % (relation_model.graph.number_of_edges(), report.launches,
+              % (relation_model.number_of_edges(), report.launches,
                  report.failures))
     for fault in sorted({str(f) for f in faults}):
         out.write("startup crash while probing: %s\n" % fault)

@@ -153,7 +153,7 @@ def allocate_random(
     import random
 
     rng = random.Random(seed)
-    names = sorted(relation_model.graph.nodes)
+    names = sorted(relation_model.model.names())
     groups: List[List[str]] = [[] for _ in range(n_instances)]
     assignment: Dict[str, int] = {}
     for name in names:
@@ -169,7 +169,7 @@ def allocate_round_robin(
     relation_model: RelationAwareModel, n_instances: int
 ) -> AllocationResult:
     """Ablation baseline: relation-blind round-robin assignment."""
-    names = sorted(relation_model.graph.nodes)
+    names = sorted(relation_model.model.names())
     groups: List[List[str]] = [[] for _ in range(n_instances)]
     assignment: Dict[str, int] = {}
     for position, name in enumerate(names):
@@ -184,14 +184,14 @@ def allocate_round_robin(
 def _tally_weights(relation_model: RelationAwareModel, result: AllocationResult) -> None:
     intra = 0.0
     inter = 0.0
-    for name_a, name_b, data in relation_model.graph.edges(data=True):
+    for name_a, name_b, weight in relation_model.edges():
         group_a = result.assignment.get(name_a)
         group_b = result.assignment.get(name_b)
         if group_a is None or group_b is None:
             continue
         if group_a == group_b:
-            intra += data["weight"]
+            intra += weight
         else:
-            inter += data["weight"]
+            inter += weight
     result.intra_weight = intra
     result.inter_weight = inter

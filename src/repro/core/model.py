@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-import networkx as nx
-
 from repro.core.entity import ConfigEntity
 from repro.errors import ConfigModelError
 
@@ -68,16 +66,22 @@ class RelationAwareModel:
     Nodes are entity names; edges carry normalised weights in [0, 1]
     reflecting the peak startup-coverage interaction between the pair.
     Entity pairs whose every value combination yields zero coverage have
-    no edge.
+    no edge. The graph is an undirected adjacency map ``{name:
+    {neighbour: weight}}`` seeded with the entity names in insertion
+    order; every iteration over it follows dict insertion order, so
+    :meth:`edges` (and every float sum over it) is reproducible.
     """
 
     def __init__(self, model: ConfigurationModel):
         self.model = model
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(model.names())
+        self._adjacency: Dict[str, Dict[str, float]] = {
+            name: {} for name in model.names()}
 
     def set_weight(self, name_a: str, name_b: str, weight: float) -> None:
-        """Attach a relation edge; weights must already be in [0, 1]."""
+        """Attach a relation edge; weights must already be in [0, 1].
+
+        Re-weighting an existing pair keeps its place in :meth:`edges`.
+        """
         if name_a not in self.model or name_b not in self.model:
             raise ConfigModelError(
                 "relation references unknown entity: %r - %r" % (name_a, name_b)
@@ -86,12 +90,32 @@ class RelationAwareModel:
             raise ConfigModelError("self-relations are not part of the model")
         if not 0.0 <= weight <= 1.0:
             raise ConfigModelError("relation weight %r outside [0, 1]" % weight)
-        self.graph.add_edge(name_a, name_b, weight=weight)
+        self._adjacency.setdefault(name_a, {})[name_b] = weight
+        self._adjacency.setdefault(name_b, {})[name_a] = weight
 
     def weight(self, name_a: str, name_b: str) -> float:
         """The relation weight between two entities (0.0 when no edge)."""
-        data = self.graph.get_edge_data(name_a, name_b)
-        return data["weight"] if data else 0.0
+        return self._adjacency.get(name_a, {}).get(name_b, 0.0)
+
+    def edges(self) -> List[Tuple[str, str, float]]:
+        """Every edge once, as ``(a, b, weight)``.
+
+        Nodes are visited in insertion order and each node's neighbours
+        in the order their edge was first set; an edge is listed at the
+        endpoint visited first, oriented from it.
+        """
+        edges = []
+        seen = set()
+        for name, neighbours in self._adjacency.items():
+            for other, weight in neighbours.items():
+                if other not in seen:
+                    edges.append((name, other, weight))
+            seen.add(name)
+        return edges
+
+    def number_of_edges(self) -> int:
+        """How many entity pairs carry a relation edge."""
+        return sum(map(len, self._adjacency.values())) // 2
 
     def edges_by_weight(self) -> List[Tuple[str, str, float]]:
         """All edges sorted by weight, descending (Algorithm 2, line 3).
@@ -99,25 +123,25 @@ class RelationAwareModel:
         Ties break deterministically on the sorted node-name pair so the
         allocation is reproducible.
         """
-        edges = [
-            (min(a, b), max(a, b), data["weight"])
-            for a, b, data in self.graph.edges(data=True)
-        ]
+        edges = [(min(a, b), max(a, b), weight) for a, b, weight in self.edges()]
         edges.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
         return edges
 
     def neighbors(self, name: str) -> List[str]:
         """Entities sharing a relation edge with ``name``."""
-        return list(self.graph.neighbors(name))
+        try:
+            return list(self._adjacency[name])
+        except KeyError:
+            raise ConfigModelError("unknown configuration entity %r" % name)
 
     def isolated_entities(self) -> List[str]:
         """Entities with no relation edge at all (conflict-only or inert)."""
-        return [name for name in self.graph.nodes if self.graph.degree(name) == 0]
+        return [name for name, neighbours in self._adjacency.items() if not neighbours]
 
     def __repr__(self) -> str:
         return "RelationAwareModel(%d entities, %d relations)" % (
             len(self.model),
-            self.graph.number_of_edges(),
+            self.number_of_edges(),
         )
 
 

@@ -129,22 +129,6 @@ class ProbeBatch:
     startup_latency: float = 0.0
 
 
-def probe_one(probe: Callable[[Dict[str, Any]], Any],
-              assignment: Dict[str, Any],
-              fault_log: Optional[List] = None,
-              startup_latency: float = 0.0) -> ProbeOutcome:
-    """Run one startup probe and normalise the result to an outcome.
-
-    ``fault_log`` is the list the probe's ``on_fault`` callback appends
-    to (see :func:`repro.targets.base.startup_probe_for`); faults that
-    accumulated during this call are drained into the outcome. The
-    probe receives ``assignment`` itself, not a copy.
-    """
-    executor = LocalProbeExecutor(probe, fault_log=fault_log,
-                                  startup_latency=startup_latency)
-    return executor.run([assignment])[0]
-
-
 def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
     """Worker body: rebuild the target's probe and run one chunk."""
     from repro.targets.base import startup_probe_for

@@ -120,7 +120,9 @@ __all__ = [
 #: per-site counters).
 #: 8: instances pickle no loopback channel; a namespace pickles its
 #: bound ports as a plain set.
-CHECKPOINT_SCHEMA_VERSION = 8
+#: 9: the relation model pickles a plain dict adjacency instead of a
+#: third-party graph object.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 #: Every file a stream writes: kind, sequence, and for a temp file
 #: (see :func:`repro.cache.atomic_write`) its unique suffix.

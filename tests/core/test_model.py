@@ -1,7 +1,10 @@
 """Tests for the configuration model and relation-aware model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.allocation import AllocationResult, _tally_weights
 from repro.core.entity import ConfigEntity, Flag, ValueType
 from repro.core.model import ConfigurationModel, RelationAwareModel, normalize_weights
 from repro.errors import ConfigModelError
@@ -98,6 +101,137 @@ class TestRelationAwareModel:
         ram.set_weight("a", "b", 0.3)
         ram.set_weight("a", "c", 0.3)
         assert set(ram.neighbors("a")) == {"b", "c"}
+
+    def test_neighbors_of_unknown_entity_rejected(self):
+        with pytest.raises(ConfigModelError):
+            RelationAwareModel(self._model()).neighbors("nope")
+
+    def test_edges_and_count(self):
+        ram = RelationAwareModel(self._model())
+        assert ram.edges() == [] and ram.number_of_edges() == 0
+        ram.set_weight("c", "a", 0.25)
+        ram.set_weight("b", "a", 0.5)
+        ram.set_weight("a", "c", 0.75)
+        assert ram.edges() == [("a", "c", 0.75), ("a", "b", 0.5)]
+        assert ram.number_of_edges() == 2
+        assert repr(ram) == "RelationAwareModel(4 entities, 2 relations)"
+
+
+@st.composite
+def _weight_sequences(draw):
+    """Entity names in a drawn order, then ``set_weight`` calls over them.
+
+    Pairs repeat (re-weights) and come in both orientations.
+    """
+    names = draw(st.permutations(["n%d" % i for i in range(draw(
+        st.integers(min_value=2, max_value=8)))]))
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda ab: ab[0] != ab[1])
+    weight = st.floats(min_value=0.0, max_value=1.0)
+    calls = draw(st.lists(st.tuples(pair, weight), max_size=30))
+    groups = draw(st.dictionaries(st.sampled_from(names),
+                                  st.integers(min_value=0, max_value=2)))
+    return names, [(a, b, w) for (a, b), w in calls], groups
+
+
+def _apply(names, calls):
+    ram = RelationAwareModel(ConfigurationModel([_entity(n) for n in names]))
+    for a, b, weight in calls:
+        ram.set_weight(a, b, weight)
+    return ram
+
+
+def _tally(ram, groups):
+    result = AllocationResult(groups=[], assignment=dict(groups))
+    _tally_weights(ram, result)
+    return result.intra_weight, result.inter_weight
+
+
+class _Reference:
+    """The relation graph as a dict of neighbour sets plus pair weights."""
+
+    def __init__(self, names, calls):
+        self.names = list(names)
+        self.adjacent = {name: set() for name in names}
+        self.first_set = {name: [] for name in names}
+        self.weights = {}
+        for a, b, weight in calls:
+            for x, y in ((a, b), (b, a)):
+                if y not in self.adjacent[x]:
+                    self.adjacent[x].add(y)
+                    self.first_set[x].append(y)
+            self.weights[frozenset((a, b))] = weight
+
+    def edges(self):
+        """Nodes in insertion order, then neighbours in the order their
+        edge was first set; each edge once, at the endpoint seen first."""
+        listed = set()
+        edges = []
+        for name in self.names:
+            for other in self.first_set[name]:
+                pair = frozenset((name, other))
+                if pair not in listed:
+                    listed.add(pair)
+                    edges.append((name, other, self.weights[pair]))
+        return edges
+
+    def tally(self, groups):
+        intra = inter = 0.0
+        for a, b, weight in self.edges():
+            if a in groups and b in groups:
+                if groups[a] == groups[b]:
+                    intra += weight
+                else:
+                    inter += weight
+        return intra, inter
+
+
+class TestRelationGraphProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_weight_sequences())
+    def test_matches_dict_of_sets_reference(self, drawn):
+        names, calls, groups = drawn
+        ram = _apply(names, calls)
+        ref = _Reference(names, calls)
+        assert ram.edges() == ref.edges()
+        assert ram.number_of_edges() == len(ref.weights)
+        for name in names:
+            assert ram.neighbors(name) == ref.first_set[name]
+            for other in names:
+                assert ram.weight(name, other) == \
+                    ref.weights.get(frozenset((name, other)), 0.0)
+        assert ram.isolated_entities() == [
+            name for name in names if not ref.adjacent[name]]
+        assert ram.edges_by_weight() == sorted(
+            ((min(a, b), max(a, b), w) for a, b, w in ref.edges()),
+            key=lambda edge: (-edge[2], edge[0], edge[1]))
+        assert _tally(ram, groups) == ref.tally(groups)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        @settings(max_examples=150, deadline=None)
+        @given(_weight_sequences())
+        def check(drawn):
+            names, calls, groups = drawn
+            ram = _apply(names, calls)
+            graph = nx.Graph()
+            graph.add_nodes_from(names)
+            for a, b, weight in calls:
+                graph.add_edge(a, b, weight=weight)
+            assert ram.edges() == [
+                (a, b, data["weight"]) for a, b, data in graph.edges(data=True)]
+            assert ram.number_of_edges() == graph.number_of_edges()
+            intra = inter = 0.0
+            for a, b, data in graph.edges(data=True):
+                if a in groups and b in groups:
+                    if groups[a] == groups[b]:
+                        intra += data["weight"]
+                    else:
+                        inter += data["weight"]
+            assert _tally(ram, groups) == (intra, inter)
+
+        check()
 
 
 class TestNormalizeWeights:

@@ -56,7 +56,7 @@ class TestAllocationProperties:
         result = allocate(ram, n_instances)
         seen = [name for group in result.groups for name in group]
         assert sorted(seen) == sorted(set(seen))
-        assert set(seen) == set(ram.graph.nodes)
+        assert set(seen) == set(ram.model.names())
 
     @settings(max_examples=40, deadline=None)
     @given(_relation_models(), st.integers(min_value=1, max_value=5))

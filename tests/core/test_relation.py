@@ -148,8 +148,8 @@ class TestQuantify:
     def test_weights_normalised(self):
         quantifier = RelationQuantifier(_synthetic_probe)
         relation_model, _ = quantifier.quantify(self._model())
-        for _, _, data in relation_model.graph.edges(data=True):
-            assert 0.0 <= data["weight"] <= 1.0
+        for _, _, weight in relation_model.edges():
+            assert 0.0 <= weight <= 1.0
 
     def test_immutable_entities_not_probed(self):
         quantifier = RelationQuantifier(_synthetic_probe)

@@ -27,7 +27,7 @@ class TestPipeline:
     def test_builds_model_and_relations(self, mosquitto_setup):
         _, mode, _ = mosquitto_setup
         assert len(mode.model) > 10
-        assert mode.relation_model.graph.number_of_edges() > 0
+        assert mode.relation_model.number_of_edges() > 0
 
     def test_quantification_time_charged(self, mosquitto_setup):
         ctx, mode, _ = mosquitto_setup

@@ -38,7 +38,7 @@ class TestQuantifyRelations:
             "mosquitto", config=ModelBuildConfig(max_combinations=4),
             on_fault=faults.append)
         assert report.launches > 0
-        assert relation_model.graph.number_of_edges() > 0
+        assert relation_model.number_of_edges() > 0
 
     def test_model_extracted_when_omitted_matches_explicit(self):
         config = ModelBuildConfig(max_combinations=4)

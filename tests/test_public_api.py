@@ -2,6 +2,10 @@
 
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 
 #: The frozen facade surface. A mismatch here means a breaking API
@@ -221,3 +225,42 @@ class TestReadmeWorkflow:
         groups = allocate(relation_model, n_instances=4)
         assert len(groups.groups) <= 4
         assert groups.assignment
+
+
+#: The modules a campaign run imports; none may pull in a third-party
+#: package.
+_FOOTPRINT_MODULES = ("repro", "repro.api", "repro.harness.campaign",
+                      "repro.harness.executor")
+
+#: Runs in a fresh interpreter: the top-level names of every module the
+#: imports added to ``sys.modules``. Startup ``.pth`` hooks and aliases
+#: of ``__main__`` (multiprocessing's ``__mp_main__``) are not imports.
+_FOOTPRINT_SCRIPT = """
+import importlib, json, sys
+before = set(sys.modules)
+for name in %r:
+    importlib.import_module(name)
+added = {m.split('.')[0] for m in set(sys.modules) - before
+         if sys.modules[m] is not sys.modules['__main__']}
+print(json.dumps(sorted(added)))
+""" % (_FOOTPRINT_MODULES,)
+
+
+class TestImportFootprint:
+    def test_imports_only_stdlib_and_repro(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT],
+                                   capture_output=True, text=True, timeout=120,
+                                   env=env)
+        assert completed.returncode == 0, completed.stderr
+        imported = json.loads(completed.stdout)
+        assert "repro" in imported
+        if hasattr(sys, "stdlib_module_names"):
+            foreign = [name for name in imported
+                       if name != "repro" and name not in sys.stdlib_module_names]
+            assert foreign == []
+        else:
+            assert "networkx" not in imported and "numpy" not in imported
