@@ -51,6 +51,7 @@ from urllib.parse import parse_qs, urlparse
 
 import time
 
+from repro.errors import SchemaVersionError
 from repro.fleet import wire
 from repro.harness.leases import CELL_DONE, CELL_FAILED, CellFailure, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
@@ -433,7 +434,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             message = wire.decode(body.decode("utf-8"), expected=expected)
-        except Exception as exc:  # encoding/wire/schema errors -> 400
+        except (ValueError, SchemaVersionError) as exc:
+            # WireError and UnicodeDecodeError are ValueErrors.
             self._error(400, str(exc))
             return
         response = getattr(self.coordinator, handler_name)(message)

@@ -38,7 +38,7 @@ def _entry_points(group: str) -> Iterable[Any]:
         return ()
     try:
         points = metadata.entry_points()
-    except Exception:  # pragma: no cover - broken site metadata must not
+    except Exception:  # noqa: BLE001 - broken site metadata must not  # pragma: no cover
         return ()      # take the built-in catalogue down with it
     if hasattr(points, "select"):  # py3.10+
         return points.select(group=group)

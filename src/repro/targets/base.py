@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.extraction import ConfigSources
 from repro.coverage.collector import CoverageCollector
 from repro.errors import StartupError, TargetError
+from repro.targets.faults import SanitizerFault
 
 
 class ProtocolTarget:
@@ -158,15 +159,11 @@ def startup_probe_for(
         collector.reset()
         try:
             target.startup(assignment)
-        except StartupError:
-            raise
-        except Exception as fault:
-            from repro.targets.faults import SanitizerFault
-
-            if on_fault is not None and isinstance(fault, SanitizerFault):
-                on_fault(fault)
-                raise StartupError(str(fault), tuple(assignment))
-            raise
+        except SanitizerFault as fault:
+            if on_fault is None:
+                raise
+            on_fault(fault)
+            raise StartupError(str(fault), tuple(assignment))
         sites = frozenset(collector.total)
         return shared.setdefault(sites, sites)
 

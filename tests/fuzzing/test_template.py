@@ -1,27 +1,26 @@
-"""Model-template tests: templated messages must mirror the tree walk.
+"""Model-template tests: compiled messages must match the model tree.
 
-:mod:`repro.fuzzing.template` precompiles a model into dict-backed
-defaults, per-selection-state generated encoders and an element index;
-``Message`` consults the template whenever its model compiles, and
-walks the model tree otherwise. These tests drive templated messages
-and messages built with ``template_for`` patched to return ``None``
-(the path untemplatable models take) through the same operations and
-require identical observables, plus the template machinery's own
-contracts (caching, fallback, pickling).
+:mod:`repro.fuzzing.template` compiles a model into dict-backed
+defaults, per-selection-state generated encoders and an element index,
+and ``Message`` runs on nothing else. The reference here is
+``_reference_encode``: the recursive tree walk that rendered messages
+before every model compiled, kept in this module only. These tests
+drive messages through their operations and require the observables
+the walk gives for the same values and selections, plus the template
+machinery's own contracts (caching, build-time rejection, pickling).
 """
 
 import gc
 import pickle
 import random
+import struct
 import weakref
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FuzzingError
-from repro.fuzzing import datamodel
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -34,11 +33,7 @@ from repro.fuzzing.datamodel import (
     Str,
 )
 from repro.fuzzing.strategies import RandomFieldStrategy
-from repro.fuzzing.template import (
-    ModelTemplate,
-    UntemplatableModel,
-    template_for,
-)
+from repro.fuzzing.template import ModelTemplate, template_for
 from repro.pits import pit_registry
 
 
@@ -60,81 +55,141 @@ def _rich_model():
     ])
 
 
-@contextmanager
-def _untemplated():
-    """Messages built inside this block get no template and walk their
-    model tree, exactly as messages of untemplatable models do."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datamodel, "_template_for", lambda model: None)
-        yield
+# -- the reference: a recursive walk of the model tree ------------------------
 
 
-def _messages(model):
-    """A (templated, tree-walking) message pair for the same model."""
-    fast = Message(model)
-    with _untemplated():
-        slow = Message(model)
-    assert fast._tpl is not None, "fast message did not get a template"
-    assert slow._tpl is None, "slow message unexpectedly templated"
-    return fast, slow
+def _join(prefix, name):
+    return name if not prefix else prefix + "." + name
+
+
+def _reference_element(model, path):
+    """The element ``path`` names, found by descending the tree."""
+    element = model.root
+    for part in path.split(".") if path else []:
+        children = (element.children if isinstance(element, Block)
+                    else element.options)
+        (element,) = [child for child in children if child.name == part]
+    return element
+
+
+def _reference_walk(message):
+    """``(fields, active)``: the leaf ``(path, value)`` pairs in document
+    order and every element path the selections make active."""
+    fields, active = [], []
+
+    def walk(element, path):
+        active.append(path)
+        if isinstance(element, Block):
+            for child in element.children:
+                walk(child, _join(path, child.name))
+        elif isinstance(element, Choice):
+            chosen = element.option(
+                message._selections.get(path, element.default_value()))
+            walk(chosen, _join(path, chosen.name))
+        else:
+            fields.append((path, message._values.get(path)))
+
+    walk(message.model.root, "")
+    return fields, active
+
+
+def _reference_encode(message, path=""):
+    """The bytes of the element at ``path`` by recursive descent, each
+    computed size measuring a fresh encoding of its span."""
+    element = _reference_element(message.model, path)
+    if isinstance(element, Block):
+        return b"".join(_reference_encode(message, _join(path, child.name))
+                        for child in element.children)
+    if isinstance(element, Choice):
+        selected = message._selections.get(path, element.default_value())
+        return _reference_encode(message, _join(path, selected))
+    value = message._values.get(path, element.default_value())
+    if isinstance(element, Size):
+        if value is None:
+            value = len(_reference_encode(message, element.of)) + element.adjust
+        element = Number(element.name, bits=element.bits, endian=element.endian)
+    if isinstance(element, Number):
+        code = {8: "b", 16: "h", 32: "i", 64: "q"}[element.bits]
+        value = int(value) & ((1 << element.bits) - 1)
+        if element.signed and value >= 1 << (element.bits - 1):
+            value -= 1 << element.bits
+        return struct.pack((">" if element.endian == "big" else "<")
+                           + (code if element.signed else code.upper()), value)
+    if isinstance(element, Str):
+        if not isinstance(value, bytes):
+            value = str(value).encode("utf-8", errors="replace")
+        return value[: element.max_length]
+    return bytes(value)[: element.max_length]
+
+
+def _assert_reference_parity(message):
+    """The walk's fields and encoding, and its ``encode_path`` for every
+    active path; an inactive path is a typed error."""
+    fields, active = _reference_walk(message)
+    assert message.fields() == fields
+    assert message.encode() == _reference_encode(message)
+    for path in message._tpl.elements:
+        if path in active:
+            assert (message.encode_path(path)
+                    == _reference_encode(message, path)), path
+        else:
+            with pytest.raises(FuzzingError):
+                message.encode_path(path)
 
 
 class TestMessageParity:
     def test_defaults_and_fields(self):
-        fast, slow = _messages(_rich_model())
-        assert fast.fields() == slow.fields()
-        assert fast.choice_paths() == slow.choice_paths()
-        assert fast.encode() == slow.encode()
+        message = Message(_rich_model())
+        assert message.fields() == _reference_walk(message)[0]
+        assert message.choice_paths() == ["kind"]
+        assert message.encode() == _reference_encode(message)
+        assert message.encode() == (b"\x00\x07\x03\x00\x05host\x00\x01xyz")
 
     def test_element_at_every_field(self):
-        fast, slow = _messages(_rich_model())
-        for path, _ in slow.fields():
-            assert fast.element_at(path) is slow.element_at(path)
-        assert fast.element_at("") is slow.element_at("")
-        with pytest.raises(Exception):
-            fast.element_at("no.such.path")
+        model = _rich_model()
+        message = Message(model)
+        for path in message._tpl.elements:
+            assert message.element_at(path) is _reference_element(model, path)
+        assert message.element_at("") is model.root
+        with pytest.raises(FuzzingError):
+            message.element_at("no.such.path")
 
     def test_set_and_encode(self):
-        fast, slow = _messages(_rich_model())
-        for message in (fast, slow):
-            message.set("id", 0xBEEF)
-            message.set("body.payload", b"longer-payload")
-        assert fast.encode() == slow.encode()
-        assert fast.get("id") == slow.get("id") == 0xBEEF
+        message = Message(_rich_model())
+        message.set("id", 0xBEEF)
+        message.set("body.payload", b"longer-payload")
+        assert message.encode() == _reference_encode(message)
+        assert message.get("id") == 0xBEEF
+        _assert_reference_parity(message)
 
     def test_select_switches_options(self):
-        fast, slow = _messages(_rich_model())
-        for message in (fast, slow):
-            message.select("kind", "answer")
-        assert fast.fields() == slow.fields()
-        assert fast.encode() == slow.encode()
-        assert fast.selection("kind") == slow.selection("kind") == "answer"
-        for message in (fast, slow):
-            message.set("kind.answer.ttl", 1)
-            message.select("kind", "query")
-        assert fast.encode() == slow.encode()
+        message = Message(_rich_model())
+        message.select("kind", "answer")
+        _assert_reference_parity(message)
+        assert message.selection("kind") == "answer"
+        message.set("kind.answer.ttl", 1)
+        message.select("kind", "query")
+        _assert_reference_parity(message)
 
     def test_copy_is_deep_enough(self):
-        fast, _ = _messages(_rich_model())
-        clone = fast.copy()
+        message = Message(_rich_model())
+        clone = message.copy()
         clone.set("id", 1)
         clone.select("kind", "answer")
-        assert fast.get("id") == 7
-        assert fast.selection("kind") == "query"
-        assert clone._tpl is fast._tpl
+        assert message.get("id") == 7
+        assert message.selection("kind") == "query"
+        assert clone._tpl is message._tpl
 
     def test_pickle_round_trip_re_resolves_template(self):
-        fast, slow = _messages(_rich_model())
-        fast.set("id", 99)
-        slow.set("id", 99)
-        restored = pickle.loads(pickle.dumps(fast))
+        message = Message(_rich_model())
+        message.set("id", 99)
+        restored = pickle.loads(pickle.dumps(message))
         assert restored._tpl is not None
-        assert restored.encode() == fast.encode() == slow.encode()
-        assert restored.fields() == fast.fields()
+        assert restored.encode() == message.encode() == _reference_encode(message)
+        assert restored.fields() == message.fields()
 
     def test_pickle_payload_carries_no_template(self):
-        fast, _ = _messages(_rich_model())
-        state = fast.__getstate__()
+        state = Message(_rich_model()).__getstate__()
         assert "_tpl" not in state
         assert "_state" not in state
 
@@ -143,13 +198,12 @@ class TestMessageParity:
         state_model = pit_registry()[target]()
         rng = random.Random(42)
         for data_model in state_model.data_models():
-            fast, slow = _messages(data_model)
-            assert fast.encode() == slow.encode()
-            assert fast.fields() == slow.fields()
-            # A few random writes stay in lockstep.
-            paths = [path for path, _ in slow.fields()]
+            message = Message(data_model)
+            _assert_reference_parity(message)
+            # A few random writes keep matching the walk.
+            paths = [path for path, _ in message.fields()]
             for path in rng.sample(paths, min(3, len(paths))):
-                element = slow.element_at(path)
+                element = message.element_at(path)
                 if isinstance(element, Number):
                     value = rng.randint(element.min_value, element.max_value)
                 elif isinstance(element, Str):
@@ -158,9 +212,8 @@ class TestMessageParity:
                     value = b"\x00\x01"
                 else:
                     continue
-                fast.set(path, value)
-                slow.set(path, value)
-            assert fast.encode() == slow.encode()
+                message.set(path, value)
+            _assert_reference_parity(message)
 
 
 class TestCleanEncodeCache:
@@ -186,10 +239,8 @@ class TestCleanEncodeCache:
         message = Message(model)
         pristine = message.encode()
         message.select("kind", "answer")
-        with _untemplated():
-            reference = Message(model)
-        reference.select("kind", "answer")
-        assert message.encode() == reference.encode()
+        assert message.encode() == _reference_encode(message)
+        assert message.encode() != pristine
         assert Message(model).encode() == pristine
 
 
@@ -208,10 +259,10 @@ class TestTemplateMachinery:
 
     def test_target_paths_match_strategy_view(self):
         """target_paths must equal fields() + choice_paths() order-for-order."""
-        model = _rich_model()
-        fast, slow = _messages(model)
-        state = fast._tpl.state_for(fast._selections)
-        expected = [path for path, _ in slow.fields()] + slow.choice_paths()
+        message = Message(_rich_model())
+        state = message._tpl.state_for(message._selections)
+        expected = ([path for path, _ in _reference_walk(message)[0]]
+                    + message.choice_paths())
         assert list(state.target_paths) == expected
 
     def test_unknown_leaf_kind_is_untemplatable(self):
@@ -219,16 +270,13 @@ class TestTemplateMachinery:
             def default_value(self):
                 return None
 
-            def encode_value(self, value, message):
-                return b""
+        class WideNumber(Number):
+            """A subclass may encode differently, so it is refused too."""
 
-        model = DataModel("weird", [Weird("w")])
-        with pytest.raises(UntemplatableModel):
-            ModelTemplate(model)
-        assert template_for(model) is None
-        message = Message(model)  # falls back to the tree walk
-        assert message._tpl is None
-        assert message.encode() == b""
+        with pytest.raises(FuzzingError, match="Weird"):
+            DataModel("weird", [Weird("w")])
+        with pytest.raises(FuzzingError, match="WideNumber"):
+            DataModel("wide", [Block("b", [WideNumber("n", bits=16)])])
 
     def test_template_does_not_keep_its_model_alive(self):
         model = _rich_model()
@@ -243,25 +291,6 @@ class TestTemplateMachinery:
 
 
 # -- size relations ------------------------------------------------------------
-
-
-def _outcome(call):
-    """``("ok", bytes)`` or ``("error", exception type, message)``."""
-    try:
-        return ("ok", call())
-    except RecursionError:
-        return ("error", RecursionError, "")
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return ("error", type(exc), str(exc))
-
-
-def _assert_size_parity(fast, slow):
-    """Same encoding, and the same ``encode_path`` for every path."""
-    assert fast.fields() == slow.fields()
-    assert _outcome(fast.encode) == _outcome(slow.encode)
-    for path in fast._tpl.elements:
-        assert (_outcome(lambda: fast.encode_path(path))
-                == _outcome(lambda: slow.encode_path(path))), path
 
 
 def _parity_models():
@@ -300,44 +329,38 @@ class TestSizeParity:
     @given(model_index=st.integers(0, len(_PARITY_MODELS) - 1), ops=_OPS)
     @example(model_index=50, ops=[("set", 945692, 0), ("strategy", 76)])
     def test_random_mutations_keep_size_parity(self, model_index, ops):
-        fast, slow = _messages(_PARITY_MODELS[model_index])
+        message = Message(_PARITY_MODELS[model_index])
         for op in ops:
             if op[0] == "strategy":
-                # The templated message takes the strategy's templated
-                # body, the other its generic one; the draws match.
-                fast = RandomFieldStrategy(valid_ratio=0).apply(
-                    fast, random.Random(op[1]))
-                slow = RandomFieldStrategy(valid_ratio=0).apply(
-                    slow, random.Random(op[1]))
+                message = RandomFieldStrategy(valid_ratio=0).apply(
+                    message, random.Random(op[1]))
             elif op[0] == "select":
-                choices = slow.choice_paths()
+                choices = message.choice_paths()
                 if not choices:
                     continue
                 path = choices[op[1] % len(choices)]
-                options = slow.element_at(path).options
-                name = options[op[2] % len(options)].name
-                fast.select(path, name)
-                slow.select(path, name)
+                options = message.element_at(path).options
+                message.select(path, options[op[2] % len(options)].name)
             else:
-                leaves = [path for path, _ in slow.fields()]
+                leaves = [path for path, _ in message.fields()]
                 sizes = [path for path in leaves
-                         if isinstance(slow.element_at(path), Size)]
+                         if isinstance(message.element_at(path), Size)]
                 pool = sizes if op[0] == "pin" else leaves
                 if not pool:
                     continue
                 path = pool[op[1] % len(pool)]
                 value = (op[2] if op[0] == "pin"
-                         else _value_for(slow.element_at(path), op[2]))
-                fast.set(path, value)
-                slow.set(path, value)
-        _assert_size_parity(fast, slow)
+                         else _value_for(message.element_at(path), op[2]))
+                message.set(path, value)
+        _assert_reference_parity(message)
 
     def test_pit_size_relations_compile(self):
-        """Every size in the shipped pits is computed in the encoder
-        itself, so Message.encode_path can slice its parts."""
+        """Every shipped model compiles, and Message.encode_path slices
+        the encoder's parts for every active path."""
         for model in _PARITY_MODELS:
-            fast, _ = _messages(model)
-            assert fast._active_state().spans is not None, model.name
+            message = Message(model)
+            spans = message._active_state().spans
+            assert set(spans) == set(_reference_walk(message)[1]), model.name
 
     def test_nested_sizes(self):
         model = DataModel("nested", [
@@ -354,98 +377,96 @@ class TestSizeParity:
                 Number("keepalive", bits=16, default=60),
             ]),
         ])
-        fast, slow = _messages(model)
-        assert fast._active_state().spans is not None
-        _assert_size_parity(fast, slow)
-        assert fast.encode() == (b"\x10\x11\x00\x04MQTT\x05\x00client"
-                                 b"\x00\x3c")
-        for message in (fast, slow):
-            message.set("body.proto", "MQIsdp")
-            message.set("body.inner.cid", b"x" * 300)
-            message.set("body.proto_len", 99)
-        _assert_size_parity(fast, slow)
+        message = Message(model)
+        _assert_reference_parity(message)
+        assert message.encode() == (b"\x10\x11\x00\x04MQTT\x05\x00client"
+                                    b"\x00\x3c")
+        message.set("body.proto", "MQIsdp")
+        message.set("body.inner.cid", b"x" * 300)
+        message.set("body.proto_len", 99)
+        _assert_reference_parity(message)
 
     def test_size_of_unselected_option(self):
+        options = Choice("kind", [
+            Block("a", [Str("name", default="host")]),
+            Block("b", [Blob("data", default=b"\x01\x02\x03")]),
+        ])
+        # alt_len could be active while the option it measures is not.
+        with pytest.raises(FuzzingError, match="alt_len"):
+            DataModel("opt", [Size("alt_len", of="kind.b", bits=16),
+                              Size("kind_len", of="kind", bits=8), options])
+        # A size over the whole choice, or one inside the option it
+        # measures, is active only with its span.
         model = DataModel("opt", [
-            Size("alt_len", of="kind.b", bits=16),
             Size("kind_len", of="kind", bits=8),
             Choice("kind", [
                 Block("a", [Str("name", default="host")]),
-                Block("b", [Blob("data", default=b"\x01\x02\x03")]),
+                Block("b", [Size("data_len", of="kind.b.data", bits=8),
+                            Blob("data", default=b"\x01\x02\x03")]),
             ]),
         ])
-        fast, slow = _messages(model)
-        # alt_len measures an inactive option: it keeps the encode_path
-        # call, so the state cannot be sliced.
-        assert fast._active_state().spans is None
-        _assert_size_parity(fast, slow)
-        for message in (fast, slow):
-            message.select("kind", "b")
-            message.set("kind.b.data", b"longer")
-        assert fast._active_state().spans is not None
-        _assert_size_parity(fast, slow)
-        for message in (fast, slow):
-            message.select("kind", "a")
-        _assert_size_parity(fast, slow)
+        message = Message(model)
+        _assert_reference_parity(message)
+        assert message.encode() == b"\x04host"
+        message.select("kind", "b")
+        message.set("kind.b.data", b"longer")
+        _assert_reference_parity(message)
+        assert message.encode() == b"\x07\x06longer"
+        message.select("kind", "a")
+        _assert_reference_parity(message)
 
     def test_size_inside_its_own_span(self):
-        model = DataModel("self", [
-            Block("body", [Size("len", of="body", bits=16), Str("s")]),
-        ])
-        fast, slow = _messages(model)
-        with pytest.raises(RecursionError):
-            slow.encode()
-        with pytest.raises(RecursionError):
-            fast.encode()
-        for message in (fast, slow):
-            message.set("body.len", 3)
-        _assert_size_parity(fast, slow)
+        with pytest.raises(FuzzingError, match="inside"):
+            DataModel("self", [
+                Block("body", [Size("len", of="body", bits=16), Str("s")]),
+            ])
+        with pytest.raises(FuzzingError, match="inside"):
+            DataModel("whole", [Size("len", of="", bits=8), Str("s")])
 
     def test_mutually_enclosing_spans(self):
-        model = DataModel("cycle", [
-            Block("a", [Size("len_b", of="b", bits=8), Str("s", default="x")]),
-            Block("b", [Size("len_a", of="a", bits=8), Str("t", default="y")]),
-        ])
-        fast, slow = _messages(model)
-        with pytest.raises(RecursionError):
-            slow.encode()
-        with pytest.raises(RecursionError):
-            fast.encode()
-        # Pinning one side breaks the cycle on both paths alike.
-        for message in (fast, slow):
-            message.set("b.len_a", 7)
-        _assert_size_parity(fast, slow)
-        assert fast.encode() == b"\x02x\x07y"
+        with pytest.raises(FuzzingError, match="each other"):
+            DataModel("cycle", [
+                Block("a", [Size("len_b", of="b", bits=8),
+                            Str("s", default="x")]),
+                Block("b", [Size("len_a", of="a", bits=8),
+                            Str("t", default="y")]),
+            ])
 
     def test_invalid_size_path(self):
-        model = DataModel("bad", [
-            Size("len", of="no.such", bits=16),
-            Size("ok", of="body", bits=8),
-            Block("body", [Str("s", default="abc")]),
-        ])
-        fast, slow = _messages(model)
-        with pytest.raises(FuzzingError) as slow_error:
-            slow.encode()
-        with pytest.raises(FuzzingError) as fast_error:
-            fast.encode()
-        assert str(fast_error.value) == str(slow_error.value)
-        _assert_size_parity(fast, slow)
+        with pytest.raises(FuzzingError, match="no.such"):
+            DataModel("bad", [
+                Size("len", of="no.such", bits=16),
+                Size("ok", of="body", bits=8),
+                Block("body", [Str("s", default="abc")]),
+            ])
 
-    def test_unencodable_values_raise_the_walks_error(self):
+    @pytest.mark.parametrize("spec", [{"bits": 12}, {"endian": "middle"}])
+    def test_size_width_is_checked(self, spec):
+        with pytest.raises(FuzzingError):
+            DataModel("odd", [Size("len", of="body", **spec), Blob("body")])
+
+    def test_unencodable_values_raise(self):
         model = DataModel("badvalues", [
             Size("len", of="body", bits=8),
             Number("n", bits=8),
             Block("body", [Number("m", bits=8), Blob("b")]),
         ])
-        fast, slow = _messages(model)
-        for message in (fast, slow):
-            message.set("n", "not-a-number")
-            message.set("body.m", "also-not")
-        # The walk reaches body.m through len's span before n.
+        message = Message(model)
+        message.set("n", "not-a-number")
+        message.set("body.m", "also-not")
+        # Leaves encode in document order, computed sizes last, so n
+        # fails first; the walk reaches body.m through len's span.
+        with pytest.raises(ValueError, match="not-a-number"):
+            message.encode()
         with pytest.raises(ValueError, match="also-not"):
-            slow.encode()
-        _assert_size_parity(fast, slow)
-        for message in (fast, slow):
-            message.set("body.m", 1)
-            message.set("body.b", "text")
-        _assert_size_parity(fast, slow)
+            _reference_encode(message)
+        message.set("n", 1)
+        message.set("body.m", 1)
+        message.set("body.b", "text")
+        with pytest.raises(TypeError):
+            message.encode()
+        with pytest.raises(TypeError):
+            _reference_encode(message)
+        message.set("body.b", b"text")
+        _assert_reference_parity(message)
+        assert message.encode() == b"\x05\x01\x01text"

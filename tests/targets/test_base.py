@@ -123,3 +123,17 @@ class TestStartupProbe:
             probe({"explode": True})
         assert len(seen) == 1
         assert seen[0].function == "demo_init"
+
+    def test_other_startup_exceptions_propagate_unchanged(self):
+        class _Broken(_Demo):
+            def _startup_impl(self):
+                raise KeyError("missing-table")
+
+        seen = []
+        probe = startup_probe_for(_Broken, on_fault=seen.append)
+        with pytest.raises(KeyError, match="missing-table"):
+            probe({})
+        # A rejected configuration is not a fault either.
+        with pytest.raises(StartupError):
+            startup_probe_for(_Demo, on_fault=seen.append)({"nonsense": 1})
+        assert seen == []
