@@ -14,8 +14,8 @@ from repro.core.extraction import extract_configuration_items, extract_entities
 from repro.core.model import ConfigurationModel, RelationAwareModel
 from repro.core.relation import RelationQuantifier
 from repro.fuzzing.strategies import RandomFieldStrategy
-from repro.pits.mqtt import state_model
 from repro.targets.base import startup_probe_for
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 

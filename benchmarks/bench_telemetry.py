@@ -18,7 +18,7 @@ from conftest import campaign_config  # adds src/ to sys.path
 
 from repro.harness.campaign import run_campaign
 from repro.parallel.cmfuzz import CmFuzzMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, TelemetryConfig
 
@@ -35,7 +35,7 @@ def _campaign_seconds(telemetry_enabled, seed=3):
     best = float("inf")
     for _ in range(_ROUNDS):
         start = time.perf_counter()
-        run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+        run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                      CmFuzzMode(), config)
         best = min(best, time.perf_counter() - start)
     return best

@@ -95,7 +95,6 @@ PLUGIN_SOURCE = textwrap.dedent("""
         "description": "Throwaway out-of-tree target for the CI plugin smoke.",
         "port": 9901,
         "config_surface": {"format": "key-value file", "keys": 2},
-        "pit": "cmfuzz_smoke_plugin:state_model",
     })
 """)
 

@@ -279,6 +279,11 @@ class Message:
         if not isinstance(element, Choice):
             raise FuzzingError("%r is not a choice" % choice_path)
         element.option(option_name)  # validates
+        # Choices nested in the option being left are no longer active.
+        prefix = choice_path + "."
+        for path in [path for path in self._selections
+                     if path.startswith(prefix)]:
+            del self._selections[path]
         self._selections[choice_path] = option_name
         self._state = None
         self._clean = False

@@ -79,11 +79,12 @@ def _attr(node: ET.Element, attribute: str, default: str,
                            % (_where(node), attribute, text)) from None
 
 
-def _construct(node: ET.Element, cls: type, *args: Any, **kwargs: Any) -> Any:
-    """``cls(*args, **kwargs)``; a value the constructor rejects (a
-    width or byte order) is re-raised naming the element."""
+def _construct(node: ET.Element, build: Callable[..., Any], *args: Any,
+               **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``; a value it rejects (a width, a byte
+    order or a transition weight) is re-raised naming the element."""
     try:
-        return cls(*args, **kwargs)
+        return build(*args, **kwargs)
     except FuzzingError as exc:
         raise FuzzingError("%s: %s" % (_where(node), exc)) from None
 
@@ -157,7 +158,8 @@ def _build_state(node: ET.Element) -> State:
             target = child.get("to")
             if not target:
                 raise FuzzingError("<Transition> requires a 'to' attribute")
-            state.add_transition(target, _attr(child, "weight", "1", float))
+            _construct(child, state.add_transition, target,
+                       _attr(child, "weight", "1", float))
         else:
             raise FuzzingError("unsupported State child <%s>" % child.tag)
     return state

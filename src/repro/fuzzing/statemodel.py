@@ -8,6 +8,7 @@ model per iteration; SPFuzz partitions its simple paths across instances.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -47,8 +48,9 @@ class State:
     transitions: List[Tuple[str, float]] = field(default_factory=list)
 
     def add_transition(self, target: str, weight: float = 1.0) -> "State":
-        if weight <= 0:
-            raise FuzzingError("transition weight must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise FuzzingError("transition weight must be positive and "
+                               "finite, got %r" % (weight,))
         self.transitions.append((target, weight))
         return self
 

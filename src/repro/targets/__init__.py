@@ -2,10 +2,10 @@
 
 Each target lives in its own directory: a subpackage with a
 ``target.json`` manifest (protocol, description, config-surface summary,
-data/state model reference, injected-bug table) alongside its server and
-config modules. Importing the subpackage registers the target; the
-catalogue itself — including the configuration-gated bugs from Table II
-of the paper for the seed subjects — lives in
+injected-bug table) alongside its server, config and pit modules.
+Importing the subpackage registers the target with its pit's state-model
+factory; the catalogue itself — including the configuration-gated bugs
+from Table II of the paper for the seed subjects — lives in
 :mod:`repro.targets.registry` and discovers directories lazily, so
 adding a target needs zero edits outside its own directory. Out-of-tree
 targets plug in via the ``CMFUZZ_TARGET_MODULES`` environment variable

@@ -1,6 +1,6 @@
 """Qpid-style AMQP 1.0 broker target."""
 
-from repro.pits.amqp import state_model
+from repro.targets.amqp.pit import state_model
 from repro.targets.amqp.server import QpidTarget
 from repro.targets.registry import load_manifest, register_target
 

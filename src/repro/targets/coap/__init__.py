@@ -1,6 +1,6 @@
 """libcoap-style CoAP server target."""
 
-from repro.pits.coap import state_model
+from repro.targets.coap.pit import state_model
 from repro.targets.coap.server import LibcoapTarget
 from repro.targets.registry import load_manifest, register_target
 

@@ -1,6 +1,6 @@
 """CycloneDDS-style DDS/RTPS target."""
 
-from repro.pits.dds import state_model
+from repro.targets.dds.pit import state_model
 from repro.targets.dds.server import CycloneDdsTarget
 from repro.targets.registry import load_manifest, register_target
 

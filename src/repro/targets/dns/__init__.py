@@ -1,6 +1,6 @@
 """Dnsmasq-style DNS server target."""
 
-from repro.pits.dns import state_model
+from repro.targets.dns.pit import state_model
 from repro.targets.dns.server import DnsmasqTarget
 from repro.targets.registry import load_manifest, register_target
 

@@ -1,6 +1,6 @@
 """OpenSSL-style DTLS server target."""
 
-from repro.pits.dtls import state_model
+from repro.targets.dtls.pit import state_model
 from repro.targets.dtls.server import OpenSslDtlsTarget
 from repro.targets.registry import load_manifest, register_target
 

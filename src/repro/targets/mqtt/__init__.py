@@ -1,6 +1,6 @@
 """Mosquitto-style MQTT broker target."""
 
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 from repro.targets.registry import load_manifest, register_target
 

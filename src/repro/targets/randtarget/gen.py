@@ -369,7 +369,6 @@ def register_family_member(seed: int, *, replace: bool = False) -> str:
             "format": "key-value file (randtarget.conf)",
             "keys": config_key_count(seed),
         },
-        "pit": "repro.targets.randtarget.gen:build_state_model",
         "bugs": [
             {"id": 1, "kind": FaultKind.SEGV.value, "site": "rt_dispatch",
              "trigger": "stale jump-table slot dispatched with the "

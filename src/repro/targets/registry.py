@@ -2,10 +2,11 @@
 
 A target is a *directory with a manifest*: a subpackage carrying a
 ``target.json`` file (protocol, description, config-surface summary,
-data/state model refs, injected-bug table) next to its implementation
-modules. The package's ``__init__`` loads and validates the manifest and
-calls :func:`register_target` — and every consumer derives its catalogue
-from here: the CLI's ``--target`` choices and ``python -m repro targets``
+injected-bug table) next to its implementation modules and its pit. The
+package's ``__init__`` loads and validates the manifest and calls
+:func:`register_target` with the target class and the pit's state-model
+factory (the one place the pit is declared) — and every consumer derives
+its catalogue from here: the CLI's ``--target`` choices and ``python -m repro targets``
 table, :func:`repro.api` name resolution, the campaign executor's spec
 reconstruction, the probe pool's worker body, the experiment drivers and
 the benchmarks. Adding a target therefore requires zero edits outside
@@ -83,9 +84,6 @@ class TargetManifest:
             ``format`` (how the sources are expressed: ``key-value``,
             ``cli-options``, ``custom-directives``, ...) and ``keys``
             (how many configuration items the default surface carries).
-        pit: Data/state model reference, ``"module.path:callable"`` —
-            the factory producing the target's
-            :class:`~repro.fuzzing.statemodel.StateModel`.
         bugs: The injected-bug table.
     """
 
@@ -94,12 +92,11 @@ class TargetManifest:
     description: str
     port: int
     config_surface: Dict[str, Any]
-    pit: str
     bugs: Tuple[InjectedBug, ...] = ()
 
 
 _REQUIRED_KEYS = ("name", "protocol", "description", "port",
-                  "config_surface", "pit")
+                  "config_surface")
 _ALLOWED_KEYS = frozenset(_REQUIRED_KEYS) | {"bugs"}
 _BUG_KEYS = ("id", "kind", "site", "trigger")
 
@@ -125,7 +122,7 @@ def validate_manifest(raw: Any, origin: str = MANIFEST_NAME) -> TargetManifest:
     if missing:
         raise _manifest_error(origin, "missing manifest keys: %s"
                               % ", ".join(missing))
-    for key in ("name", "protocol", "description", "pit"):
+    for key in ("name", "protocol", "description"):
         value = raw[key]
         if not isinstance(value, str) or not value.strip():
             raise _manifest_error(origin, "%r must be a non-empty string, "
@@ -151,10 +148,6 @@ def validate_manifest(raw: Any, origin: str = MANIFEST_NAME) -> TargetManifest:
     if isinstance(keys, bool) or not isinstance(keys, int) or keys <= 0:
         raise _manifest_error(origin, "'config_surface.keys' must be a "
                               "positive int, got %r" % (keys,))
-    pit = raw["pit"]
-    if pit.count(":") != 1 or not all(pit.split(":")):
-        raise _manifest_error(origin, "'pit' must be a 'module:callable' "
-                              "reference, got %r" % pit)
     bugs = []
     for index, entry in enumerate(raw.get("bugs", ())):
         if not isinstance(entry, dict) or \
@@ -175,7 +168,7 @@ def validate_manifest(raw: Any, origin: str = MANIFEST_NAME) -> TargetManifest:
     return TargetManifest(
         name=name, protocol=raw["protocol"],
         description=" ".join(raw["description"].split()), port=port,
-        config_surface=dict(surface), pit=pit, bugs=tuple(bugs),
+        config_surface=dict(surface), bugs=tuple(bugs),
     )
 
 

@@ -85,11 +85,11 @@ class TestGuidedCampaign:
     def test_cmfuzz_guided_mode_runs(self):
         from repro.harness.campaign import CampaignConfig, run_campaign
         from repro.parallel.cmfuzz import CmFuzzMode
-        from repro.pits import pit_registry
+        from repro.targets import get_target
         from repro.targets.dns.server import DnsmasqTarget
 
         result = run_campaign(
-            DnsmasqTarget, pit_registry()["dnsmasq"](),
+            DnsmasqTarget, get_target("dnsmasq").state_model(),
             CmFuzzMode(guided_mutation=True, saturation_window=600.0),
             CampaignConfig(n_instances=2, duration_hours=4.0, seed=8),
         )

@@ -244,7 +244,6 @@ class TestPooledProbeFailures:
             "description": "A target whose startup hangs for one value.",
             "port": 7001,
             "config_surface": {"format": "key-value file", "keys": 2},
-            "pit": "tests.core.test_probes:_stuck_state_model",
         })
         yield monkeypatch
         unregister_target("stuck")

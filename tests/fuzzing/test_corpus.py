@@ -10,7 +10,7 @@ from repro.fuzzing.corpus import (
     message_to_dict,
     save_corpus_file,
 )
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 
 
 @pytest.fixture(scope="module")

@@ -130,6 +130,20 @@ class TestBlockAndChoice:
         model = DataModel("m", [Choice("c", [Blob("a", default=b"A")])])
         assert model.build().choice_paths() == ["c"]
 
+    def test_select_drops_choices_nested_in_the_option_left(self):
+        model = DataModel("m", [Choice("c", [
+            Block("a", [Choice("inner", [Blob("x"), Blob("y")])]),
+            Blob("b"),
+        ])])
+        message = model.build()
+        assert message.choice_paths() == ["c", "c.a.inner"]
+        message.select("c", "b")
+        assert message.choice_paths() == ["c"]
+        # RandomFieldStrategy draws its targets from the selection state.
+        assert "c.a.inner" not in message._active_state().target_paths
+        message.select("c", "a")
+        assert message.choice_paths() == ["c", "c.a.inner"]
+
 
 class TestMessage:
     def _model(self):

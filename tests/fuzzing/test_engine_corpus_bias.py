@@ -3,7 +3,7 @@
 
 from repro.fuzzing.engine import DirectTransport, FuzzEngine
 from repro.fuzzing.strategies import RandomFieldStrategy
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 

@@ -195,6 +195,20 @@ class TestErrors:
         with pytest.raises(FuzzingError, match=r"<Transition> has an invalid weight='x'"):
             load_pit(xml)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+    def test_unusable_transition_weight_names_the_transition(self, weight):
+        xml = """
+        <Peach>
+          <DataModel name="M"><Number name="n"/></DataModel>
+          <StateModel name="s" initialState="x">
+            <State name="x"><Transition to="x" weight="%s"/></State>
+          </StateModel>
+        </Peach>
+        """ % weight
+        with pytest.raises(FuzzingError, match=r"<Transition>: transition weight must be "
+                                               r"positive and finite"):
+            load_pit(xml)
+
     @pytest.mark.parametrize("body, reason", [
         ('<Size name="l" of="nope"/>', r"size 'l' has of='nope', which is not an element"),
         ('<Block name="b"><Size name="l" of="b"/></Block>', r"size 'b.l' lies inside of='b'"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.fuzzing.datamodel import Blob, DataModel, Number, Size
 from repro.fuzzing.mutators import DEFAULT_MUTATORS, mutators_for
 from repro.fuzzing.strategies import RandomFieldStrategy
-from repro.pits import pit_registry
+from repro.targets import get_target
 
 
 class TestNumberEncoding:
@@ -60,7 +60,7 @@ class TestStrategyInvariants:
     def test_mutated_messages_always_encode(self, seed):
         strategy = RandomFieldStrategy(valid_ratio=0.0)
         rng = random.Random(seed)
-        for model in pit_registry()["mosquitto"]().data_models():
+        for model in get_target("mosquitto").state_model().data_models():
             mutated = strategy.apply(model.build(), rng)
             assert isinstance(mutated.encode(), bytes)
 
@@ -69,7 +69,7 @@ class TestStrategyInvariants:
     def test_mutation_never_corrupts_original(self, seed):
         strategy = RandomFieldStrategy(valid_ratio=0.0)
         rng = random.Random(seed)
-        model = pit_registry()["dnsmasq"]().data_model("QueryA")
+        model = get_target("dnsmasq").state_model().data_model("QueryA")
         original = model.build()
         reference = original.encode()
         strategy.apply(original, rng)
@@ -80,7 +80,7 @@ class TestMutatorApplicability:
     @given(st.sampled_from(["mosquitto", "libcoap", "cyclonedds",
                             "openssl", "qpid", "dnsmasq"]))
     def test_every_pit_leaf_has_a_mutator(self, name):
-        model = pit_registry()[name]()
+        model = get_target(name).state_model()
         for data_model in model.data_models():
             message = data_model.build()
             for path, _ in message.fields():

@@ -34,7 +34,7 @@ from repro.fuzzing.datamodel import (
 )
 from repro.fuzzing.strategies import RandomFieldStrategy
 from repro.fuzzing.template import ModelTemplate, template_for
-from repro.pits import pit_registry
+from repro.targets import get_target, target_names
 
 
 def _rich_model():
@@ -193,9 +193,9 @@ class TestMessageParity:
         assert "_tpl" not in state
         assert "_state" not in state
 
-    @pytest.mark.parametrize("target", sorted(pit_registry()))
+    @pytest.mark.parametrize("target", target_names())
     def test_all_pit_models_encode_identically(self, target):
-        state_model = pit_registry()[target]()
+        state_model = get_target(target).state_model()
         rng = random.Random(42)
         for data_model in state_model.data_models():
             message = Message(data_model)
@@ -295,8 +295,8 @@ class TestTemplateMachinery:
 
 def _parity_models():
     models = [_rich_model()]
-    for target in sorted(pit_registry()):
-        models.extend(pit_registry()[target]().data_models())
+    for target in target_names():
+        models.extend(get_target(target).state_model().data_models())
     return models
 
 

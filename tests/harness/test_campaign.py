@@ -6,7 +6,7 @@ from repro.harness.campaign import CampaignConfig, run_campaign, run_repeated
 from repro.harness.simclock import CostModel
 from repro.parallel.cmfuzz import CmFuzzMode
 from repro.parallel.peach import PeachParallelMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.mqtt.server import MosquittoTarget
 
 
@@ -24,7 +24,7 @@ def _short_config(**overrides):
 
 
 def _mqtt_pit():
-    return pit_registry()["mosquitto"]()
+    return get_target("mosquitto").state_model()
 
 
 class TestRunCampaign:
@@ -114,4 +114,4 @@ class TestRunRepeated:
 
 
 def _mqtt_pit_factory():
-    return pit_registry()["mosquitto"]()
+    return get_target("mosquitto").state_model()

@@ -27,7 +27,6 @@ from repro.harness.checkpoint import (
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
 from repro.parallel import create_mode
-from repro.pits import pit_registry
 from repro.targets import get_target
 
 
@@ -160,7 +159,7 @@ class TestSchemaVersioning:
             CHECKPOINT_SCHEMA_VERSION - 1)
         with pytest.raises(SchemaVersionError):
             run_campaign(get_target("dnsmasq").target_cls,
-                         pit_registry()["dnsmasq"](), create_mode("cmfuzz"),
+                         get_target("dnsmasq").state_model(), create_mode("cmfuzz"),
                          config)
 
     def test_resume_over_a_previous_schema_blob_raises(self, tmp_path):
@@ -183,7 +182,7 @@ class TestSchemaVersioning:
             handle.write(body + hashlib.sha256(body).digest())
         with pytest.raises(SchemaVersionError) as excinfo:
             run_campaign(get_target("dnsmasq").target_cls,
-                         pit_registry()["dnsmasq"](), create_mode("cmfuzz"),
+                         get_target("dnsmasq").state_model(), create_mode("cmfuzz"),
                          config)
         assert excinfo.value.found == CHECKPOINT_SCHEMA_VERSION - 1
 
@@ -196,7 +195,7 @@ class TestSchemaVersioning:
         config = CampaignConfig(n_instances=2, duration_hours=1.0, seed=3,
                                 checkpoint_every=300.0, checkpoint_dir=root)
         run = lambda config, hook=None: run_campaign(  # noqa: E731
-            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+            get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
             create_mode("cmfuzz"), config, abort_hook=hook)
         with monkeypatch.context() as patch:
             patch.setattr("repro.harness.checkpoint.CHECKPOINT_SCHEMA_VERSION",
@@ -248,7 +247,7 @@ class TestCampaignIntegration:
         if abort_at is not None:
             hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
         return run_campaign(
-            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+            get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
             create_mode("cmfuzz"), config, abort_hook=hook,
         )
 

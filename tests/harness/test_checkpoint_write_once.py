@@ -23,7 +23,6 @@ from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.checkpoint import CheckpointStore, campaign_key
 from repro.harness.export import results_to_json
 from repro.parallel import create_mode, mode_names
-from repro.pits import pit_registry
 from repro.targets import get_target
 
 _TARGET = "dnsmasq"
@@ -37,7 +36,7 @@ def _config(checkpoint_dir):
 
 def _run(mode_name, config, abort_hook=None):
     return run_campaign(
-        get_target(_TARGET).target_cls, pit_registry()[_TARGET](),
+        get_target(_TARGET).target_cls, get_target(_TARGET).state_model(),
         create_mode(mode_name), config, abort_hook=abort_hook,
     )
 

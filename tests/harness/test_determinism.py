@@ -4,7 +4,7 @@
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.parallel.cmfuzz import CmFuzzMode
 from repro.parallel.peach import PeachParallelMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 
 
@@ -13,7 +13,7 @@ def _config(seed=13):
 
 
 def _run(mode_factory, seed=13):
-    return run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    return run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                         mode_factory(), _config(seed))
 
 

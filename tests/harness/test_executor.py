@@ -19,7 +19,6 @@ from repro.harness.executor import (
 )
 from repro.api import compare_modes
 from repro.parallel import get_mode
-from repro.pits import pit_registry
 from repro.targets import get_target
 
 FUZZERS = ("cmfuzz", "peach", "spfuzz")

@@ -7,14 +7,14 @@ import pytest
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import comparison_summary, result_to_dict, results_to_json
 from repro.parallel.peach import PeachParallelMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 
 
 @pytest.fixture(scope="module")
 def result():
     return run_campaign(
-        DnsmasqTarget, pit_registry()["dnsmasq"](), PeachParallelMode(),
+        DnsmasqTarget, get_target("dnsmasq").state_model(), PeachParallelMode(),
         CampaignConfig(n_instances=2, duration_hours=2.0, seed=21),
     )
 

@@ -32,7 +32,6 @@ from repro.harness.checkpoint import CheckpointStore
 from repro.harness.executor import execute_specs, results, specs_for_repeated
 from repro.harness.export import results_to_json
 from repro.parallel import create_mode, mode_names
-from repro.pits import pit_registry
 from repro.targets import get_target
 from repro.telemetry import TelemetryConfig
 
@@ -69,7 +68,7 @@ def _run(mode_name, config, abort_at=None):
     if abort_at is not None:
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
-        get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+        get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
         create_mode(mode_name), config, abort_hook=hook,
     )
 
@@ -230,7 +229,7 @@ class TestStormOnWriteOnceFiles:
             with pytest.raises(CampaignInterrupted):
                 run_campaign(
                     get_target("dnsmasq").target_cls,
-                    pit_registry()["dnsmasq"](), create_mode(mode_name),
+                    get_target("dnsmasq").state_model(), create_mode(mode_name),
                     config, abort_hook=lambda iterations, now: now >= 2400)
             resumed = _run(mode_name, dataclasses.replace(config, resume=True))
         assert results_to_json([resumed]) == baseline

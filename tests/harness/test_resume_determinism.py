@@ -27,7 +27,6 @@ from repro.harness.export import (
     validate_export_dict,
 )
 from repro.parallel import create_mode, mode_names
-from repro.pits import pit_registry
 from repro.targets import get_target
 
 _SETTINGS = dict(
@@ -41,7 +40,7 @@ def _run(mode_name, config, abort_at=None):
     if abort_at is not None:
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
-        get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+        get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
         create_mode(mode_name), config, abort_hook=hook,
     )
 
@@ -106,13 +105,13 @@ class TestResumeEqualsUninterrupted:
         config = _config(str(tmp_path / "ck"), seed=5)
         reference_mode = create_mode("cmfuzz")
         reference = results_to_json([run_campaign(
-            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+            get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
             reference_mode, config)])
 
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 get_target("dnsmasq").target_cls,
-                pit_registry()["dnsmasq"](), create_mode("cmfuzz"), config,
+                get_target("dnsmasq").state_model(), create_mode("cmfuzz"), config,
                 # Past the first periodic checkpoint at 300 sim-seconds.
                 abort_hook=lambda iterations, now: now > 450.0)
 

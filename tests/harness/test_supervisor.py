@@ -18,7 +18,6 @@ from repro.parallel.base import ParallelMode
 from repro.parallel.cmfuzz import CmFuzzMode
 from repro.parallel.instance import FuzzingInstance
 from repro.parallel.spfuzz import SpFuzzMode
-from repro.pits import pit_registry
 from repro.targets import get_target
 from repro.targets.base import ProtocolTarget
 
@@ -247,7 +246,7 @@ class TestCmFuzzReallocation:
     def _ctx(self, n_instances=3):
         config = CampaignConfig(n_instances=n_instances, seed=0)
         ctx = _CampaignContext(get_target("dnsmasq").target_cls,
-                               pit_registry()["dnsmasq"](), config)
+                               get_target("dnsmasq").state_model(), config)
         mode = CmFuzzMode()
         ctx.instances = mode.create_instances(ctx)
         return ctx, mode
@@ -288,7 +287,7 @@ class TestSpFuzzRedistribution:
     def _ctx(self, n_instances=3):
         config = CampaignConfig(n_instances=n_instances, seed=0)
         ctx = _CampaignContext(get_target("mosquitto").target_cls,
-                               pit_registry()["mosquitto"](), config)
+                               get_target("mosquitto").state_model(), config)
         mode = SpFuzzMode()
         ctx.instances = mode.create_instances(ctx)
         for instance in ctx.instances:

@@ -14,7 +14,7 @@ import pytest
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import result_to_dict, results_to_json
 from repro.parallel.spfuzz import SpFuzzMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 from repro.telemetry import TelemetryConfig
 
@@ -34,7 +34,7 @@ def _run(telemetry=None, trace_path=None, seed=17):
         telemetry = None
     config = CampaignConfig(n_instances=2, duration_hours=2.0, seed=seed,
                             telemetry=telemetry)
-    return run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    return run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                         SpFuzzMode(), config)
 
 

@@ -5,14 +5,14 @@ import pytest
 from repro.core.allocation import allocate_round_robin
 from repro.harness.campaign import CampaignConfig, _CampaignContext, _safe_initial_start
 from repro.parallel.cmfuzz import CmFuzzMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 from repro.targets.mqtt.server import MosquittoTarget
 
 
 def _ctx(target_cls=MosquittoTarget, pit="mosquitto", n_instances=4, seed=1):
     config = CampaignConfig(n_instances=n_instances, seed=seed)
-    return _CampaignContext(target_cls, pit_registry()[pit](), config)
+    return _CampaignContext(target_cls, get_target(pit).state_model(), config)
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,13 @@ from repro.harness.campaign import (
     run_campaign,
 )
 from repro.parallel.hybrid import HybridMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.mqtt.server import MosquittoTarget
 
 
 def _ctx(n_instances=4, seed=1):
     config = CampaignConfig(n_instances=n_instances, seed=seed)
-    return _CampaignContext(MosquittoTarget, pit_registry()["mosquitto"](), config)
+    return _CampaignContext(MosquittoTarget, get_target("mosquitto").state_model(), config)
 
 
 class TestHybridSetup:
@@ -55,7 +55,7 @@ class TestHybridSetup:
 class TestHybridCampaign:
     def test_runs_end_to_end(self):
         result = run_campaign(
-            MosquittoTarget, pit_registry()["mosquitto"](), HybridMode(),
+            MosquittoTarget, get_target("mosquitto").state_model(), HybridMode(),
             CampaignConfig(n_instances=2, duration_hours=2.0, seed=9),
         )
         assert result.mode == "hybrid"
@@ -66,8 +66,8 @@ class TestHybridCampaign:
         from repro.parallel.peach import PeachParallelMode
 
         config = CampaignConfig(n_instances=4, duration_hours=8.0, seed=9)
-        hybrid = run_campaign(MosquittoTarget, pit_registry()["mosquitto"](),
+        hybrid = run_campaign(MosquittoTarget, get_target("mosquitto").state_model(),
                               HybridMode(), config)
-        peach = run_campaign(MosquittoTarget, pit_registry()["mosquitto"](),
+        peach = run_campaign(MosquittoTarget, get_target("mosquitto").state_model(),
                              PeachParallelMode(), config)
         assert hybrid.final_coverage > peach.final_coverage

@@ -7,7 +7,7 @@ from repro.errors import StartupError
 from repro.fuzzing.engine import FuzzEngine
 from repro.netns.namespace import NetworkNamespace
 from repro.parallel.instance import FuzzingInstance
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 

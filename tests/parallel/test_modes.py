@@ -6,7 +6,7 @@ from repro.harness.campaign import CampaignConfig, _CampaignContext
 from repro.parallel.peach import PeachParallelMode
 from repro.parallel.spfuzz import SpFuzzMode
 from repro.parallel.sync import SeedSynchronizer
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 

@@ -19,13 +19,13 @@ from repro.harness.campaign import (
 )
 from repro.harness.export import results_to_json
 from repro.parallel.plateau import _POOLS, PlateauMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 
 
 def _running(escalate_after=2, window=10.0, n_instances=2, seed=5):
     config = CampaignConfig(n_instances=n_instances, seed=seed)
-    ctx = _CampaignContext(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    ctx = _CampaignContext(DnsmasqTarget, get_target("dnsmasq").state_model(),
                           config)
     mode = PlateauMode(plateau_window=window, escalate_after=escalate_after)
     ctx.instances = mode.create_instances(ctx)
@@ -148,7 +148,7 @@ class TestDeterminism:
 
         def run():
             return results_to_json([run_campaign(
-                DnsmasqTarget, pit_registry()["dnsmasq"](),
+                DnsmasqTarget, get_target("dnsmasq").state_model(),
                 PlateauMode(), config)])
 
         assert run() == run()

@@ -33,7 +33,7 @@ from repro.parallel import (
     unregister_mode,
 )
 from repro.parallel import registry as registry_module
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -47,7 +47,7 @@ BUILTIN_MODES = ("cmfuzz", "hybrid", "peach", "plateau", "spfuzz", "statemap")
 
 def _ctx(n_instances=2, seed=1):
     config = CampaignConfig(n_instances=n_instances, seed=seed)
-    return _CampaignContext(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    return _CampaignContext(DnsmasqTarget, get_target("dnsmasq").state_model(),
                             config)
 
 

@@ -6,9 +6,9 @@ from repro.fuzzing.engine import IterationResult
 from repro.harness.campaign import CampaignConfig, _CampaignContext, run_campaign
 from repro.harness.export import results_to_json
 from repro.parallel.statemap import StateMapMode
-from repro.pits import pit_registry
-from repro.pits.mqtt import state_model
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 
@@ -127,7 +127,7 @@ class TestDeterminism:
 
         def run():
             return results_to_json([run_campaign(
-                DnsmasqTarget, pit_registry()["dnsmasq"](),
+                DnsmasqTarget, get_target("dnsmasq").state_model(),
                 StateMapMode(), config)])
 
         assert run() == run()

@@ -16,7 +16,7 @@ from repro.fuzzing.engine import FuzzEngine
 from repro.harness.campaign import CampaignConfig, _CampaignContext
 from repro.parallel.peach import PeachParallelMode
 from repro.parallel.sync import SeedSynchronizer
-from repro.pits.mqtt import state_model
+from repro.targets.mqtt.pit import state_model
 from repro.targets.mqtt.server import MosquittoTarget
 
 

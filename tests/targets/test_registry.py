@@ -1,9 +1,9 @@
 """The target plugin registry: one catalogue, every consumer derives.
 
 The contract under test: adding a target requires zero edits outside
-its own directory — the CLI's ``--target`` choices, the pit catalogue,
-``repro.api`` name resolution, the executor and the rendered target
-table all read the registry; manifests are schema-validated at
+its own directory — the CLI's ``--target`` choices, ``repro.api``
+name resolution, the executor and the rendered target table all read
+the registry; manifests are schema-validated at
 registration; and every registered target hands out *picklable*
 classes and state-model factories (campaign specs cross process
 boundaries by name and checkpoints pickle engine state whole).
@@ -57,7 +57,6 @@ def _valid_manifest(**overrides):
         "description": "A throwaway target for the registration contract.",
         "port": 9999,
         "config_surface": {"format": "key-value file", "keys": 3},
-        "pit": "some.module:state_model",
         "bugs": [{"id": 1, "kind": "SEGV", "site": "echo_copy",
                   "trigger": "oversized echo"}],
     }
@@ -130,8 +129,9 @@ class TestManifestValidation:
     @pytest.mark.parametrize("corruption,match", [
         ({"name": None}, "missing manifest keys: name"),
         ({"port": None}, "missing manifest keys: port"),
-        ({"pit": None}, "missing manifest keys: pit"),
         ({"extra": 1}, "unknown manifest keys: extra"),
+        # The pit is declared once, as register_target's state_model.
+        ({"pit": "some.module:state_model"}, "unknown manifest keys: pit"),
         ({"name": ""}, "non-empty string"),
         ({"name": "no spaces"}, "identifier-like"),
         ({"port": "1883"}, "must be an int"),
@@ -145,8 +145,6 @@ class TestManifestValidation:
          "config_surface.keys"),
         ({"config_surface": {"format": "ini", "keys": True}},
          "config_surface.keys"),
-        ({"pit": "no.colon.here"}, "module:callable"),
-        ({"pit": "a:b:c"}, "module:callable"),
         ({"bugs": [{"id": 1}]}, r"bugs\[0\]"),
         ({"bugs": [{"id": "x", "kind": "SEGV", "site": "s",
                     "trigger": "t"}]}, r"bugs\[0\].id"),
@@ -181,14 +179,12 @@ class TestRegistration:
         family member — shows up in every derived surface without
         touching any of them."""
         from repro.cli import _build_parser
-        from repro.pits import pit_registry
         from repro.targets.randtarget import register_family_member
 
         name = register_family_member(411)
         try:
             assert name in target_names()
             assert "`%s`" % name in render_target_table()
-            assert name in pit_registry()
             # The CLI parser is rebuilt per invocation, so a fresh build
             # must offer the new target.
             assert name in _campaign_target_choices(_build_parser())
@@ -310,7 +306,6 @@ class TestDiscovery:
                         "description": "An out-of-tree target loaded by discovery.",
                         "port": 9999,
                         "config_surface": {"format": "key-value file", "keys": 1},
-                        "pit": "_cmfuzz_plugin_target:state_model",
                     })
                 """))
             monkeypatch.syspath_prepend(tmpdir)
@@ -353,7 +348,6 @@ class TestDiscovery:
                 "description": "A target whose module imports slowly.",
                 "port": 9998,
                 "config_surface": {"format": "key-value file", "keys": 1},
-                "pit": "_cmfuzz_slow_target:state_model",
             })
         """), encoding="utf-8")
         monkeypatch.syspath_prepend(str(tmp_path))
@@ -419,14 +413,6 @@ class TestConsumersAgree:
         out = io.StringIO()
         assert main(["targets"], out=out) == 0
         assert out.getvalue().strip() == render_target_table().strip()
-
-    def test_pit_registry_derives_from_target_entries(self):
-        from repro.pits import pit_registry
-
-        pits = pit_registry()
-        assert set(pits) == set(target_names())
-        for entry in target_entries():
-            assert pits[entry.name] is entry.state_model
 
     def test_readme_target_table_is_generated_from_registry(self):
         with open(os.path.join(_REPO_ROOT, "README.md"),

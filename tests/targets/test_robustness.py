@@ -88,9 +88,9 @@ class TestMutatedPitMessages:
     def test_mutated_valid_messages_robust(self, name, data):
         """Near-valid traffic (pit message + byte corruption) never
         produces an unexpected exception either."""
-        from repro.pits import pit_registry
+        from repro.targets import get_target
 
-        model = pit_registry()[name]()
+        model = get_target(name).state_model()
         names = [m.name for m in model.data_models()]
         chosen = data.draw(st.sampled_from(names))
         payload = bytearray(model.data_model(chosen).build().encode())

@@ -9,7 +9,6 @@ the discovered site space stays bounded and well-formed.
 import pytest
 
 from repro.fuzzing.engine import DirectTransport, FuzzEngine
-from repro.pits import pit_registry
 from repro.targets import get_target
 
 #: Generous per-target ceilings (roughly 3x what campaigns reach).
@@ -53,7 +52,7 @@ _RICH_CONFIGS = {
 def _hammer(name, config, iterations=3000, seed=0):
     target = get_target(name).target_cls()
     target.startup(config)
-    engine = FuzzEngine(pit_registry()[name](), DirectTransport(target),
+    engine = FuzzEngine(get_target(name).state_model(), DirectTransport(target),
                         target.cov, seed=seed)
     for _ in range(iterations):
         result = engine.run_iteration()

@@ -63,13 +63,12 @@ class TestRunCampaign:
 
     def test_legacy_positional_signature_rejected(self):
         from repro.parallel.cmfuzz import CmFuzzMode
-        from repro.pits import pit_registry
         from repro.targets import get_target
 
         with pytest.raises(TypeError, match="legacy positional"):
             run_campaign(
                 get_target("mosquitto").target_cls,
-                pit_registry()["mosquitto"](),
+                get_target("mosquitto").state_model(),
                 CmFuzzMode(),
                 _quick_config(),
             )

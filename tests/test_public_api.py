@@ -191,11 +191,26 @@ class TestTopLevelExports:
         assert set(mode_names()) == {"cmfuzz", "peach", "spfuzz",
                                      "hybrid", "plateau", "statemap"}
 
-    def test_target_and_pit_registries_aligned(self):
-        from repro.pits import pit_registry
-        from repro.targets import target_names
+    def test_every_target_directory_ships_its_own_pit(self):
+        import functools
 
-        assert set(pit_registry()) == set(target_names())
+        import repro.targets
+        from repro.targets import get_target, load_manifest
+
+        root = os.path.dirname(os.path.abspath(repro.targets.__file__))
+        directories = [name for name in sorted(os.listdir(root))
+                       if os.path.isfile(os.path.join(root, name, "target.json"))]
+        assert directories
+        strays = {}
+        for directory in directories:
+            manifest = load_manifest(os.path.join(root, directory))
+            factory = get_target(manifest.name).state_model
+            if isinstance(factory, functools.partial):
+                factory = factory.func
+            if not (factory.__module__ + ".").startswith(
+                    "repro.targets.%s." % directory):
+                strays[directory] = factory.__module__
+        assert strays == {}
 
     def test_targets_module_surface_is_frozen(self):
         import repro.targets
